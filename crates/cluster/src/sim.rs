@@ -791,14 +791,14 @@ impl ClusterSim {
                         };
                         let mut completion = t_fault;
                         if !plan.writes.is_empty() {
-                            let req = DiskRequest::write(plan.writes.clone());
+                            let req = DiskRequest::write(plan.writes);
                             let pages = req.pages();
                             let c = self.submit_io(ni, t_fault, &req);
                             self.nodes[ni].trace.record_out(c, pages);
                             completion = completion.max(c);
                         }
                         if !plan.reads.is_empty() {
-                            let req = DiskRequest::read(plan.reads.clone());
+                            let req = DiskRequest::read(plan.reads);
                             let pages = req.pages();
                             let c = self.submit_io(ni, t_fault, &req);
                             self.nodes[ni].trace.record_in(c, pages);
@@ -1061,7 +1061,7 @@ impl ClusterSim {
                             .map_err(mem_err("adaptive_page_out", ni, now))?
                     };
                     if !plan.writes.is_empty() {
-                        let req = DiskRequest::write(plan.writes.clone());
+                        let req = DiskRequest::write(plan.writes);
                         let pages = req.pages();
                         let c = self.submit_io(ni, now, &req);
                         self.nodes[ni].trace.record_out(c, pages);
@@ -1083,7 +1083,7 @@ impl ClusterSim {
                         .map_err(mem_err("adaptive_page_in", ni, now))?
                 };
                 if !plan_in.reads.is_empty() {
-                    let req = DiskRequest::read(plan_in.reads.clone());
+                    let req = DiskRequest::read(plan_in.reads);
                     let pages = req.pages();
                     let c = self.submit_io(ni, now, &req);
                     self.nodes[ni].trace.record_in(c, pages);

@@ -11,7 +11,7 @@ use crate::bgwrite::BgWriter;
 use crate::policy::PolicyConfig;
 use crate::recorder::PageRecorder;
 use agp_disk::{extents_from_blocks, Extent};
-use agp_mem::{Kernel, MapInOutcome, MemError, PageNum, PageState, ProcId};
+use agp_mem::{Kernel, MapInOutcome, MemError, PageNum, ProcId};
 use agp_obs::{ObsEvent, ObsLink};
 use agp_sim::SimTime;
 use std::collections::BTreeMap;
@@ -410,7 +410,7 @@ impl PagingEngine {
                     if self.selective_cache.pid != Some(out) {
                         self.selective_cache = SelectiveCache {
                             pid: Some(out),
-                            pages: kern.resident_oldest_first(out)?,
+                            pages: kern.resident_oldest_first(out, usize::MAX)?,
                             cursor: 0,
                         };
                     }
@@ -420,7 +420,7 @@ impl PagingEngine {
                         while cands.len() < target - freed && cache.cursor < cache.pages.len() {
                             let p = cache.pages[cache.cursor];
                             cache.cursor += 1;
-                            if kern.proc(out)?.pt.state(p).is_resident() {
+                            if kern.proc(out)?.pt.is_resident(p) {
                                 cands.push(p);
                             }
                         }
@@ -470,8 +470,7 @@ impl PagingEngine {
                         // oldest pages of the largest process so the
                         // fault can make progress.
                         if let Some(pid) = kern.largest_rss_proc(None) {
-                            let mut cands = kern.resident_oldest_first(pid)?;
-                            cands.truncate(target - freed);
+                            let cands = kern.resident_oldest_first(pid, target - freed)?;
                             freed += self.evict_recorded(kern, pid, &cands, &mut writes)?;
                         }
                         break;
@@ -575,8 +574,7 @@ impl PagingEngine {
         if to_free == 0 {
             return Ok(plan);
         }
-        let mut cands = kern.resident_oldest_first(out)?;
-        cands.truncate(to_free);
+        let cands = kern.resident_oldest_first(out, to_free)?;
         let n = self.evict_recorded(kern, out, &cands, &mut plan.writes)?;
         self.stats.aggressive_evictions += n as u64;
         if n > 0 {
@@ -632,7 +630,7 @@ impl PagingEngine {
             .iter()
             .filter(|&&p| {
                 kern.proc(inn)
-                    .map(|pm| !pm.pt.state(p).is_resident())
+                    .map(|pm| !pm.pt.is_resident(p))
                     .unwrap_or(false)
             })
             .count()
@@ -648,8 +646,7 @@ impl PagingEngine {
         }
         let mut blocks = Vec::new();
         for p in pages {
-            let state = *kern.proc(inn)?.pt.state(p);
-            if matches!(state, PageState::Resident(_)) {
+            if kern.proc(inn)?.pt.is_resident(p) {
                 // Already back (e.g. duplicate record); nothing to do.
                 self.stats.replay_skipped += 1;
                 continue;

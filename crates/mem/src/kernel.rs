@@ -91,6 +91,58 @@ impl ProcMem {
     }
 }
 
+/// Blocks that hold a *valid, current* page image → owning page, indexed
+/// by block (the shape of Linux 2.2's `swap_map`). A slot holds
+/// `(pid + 1) << 32 | page`, or 0 when the block is unowned. The table
+/// grows on insert to the highest block ever owned rather than being
+/// sized from the device, so a kernel whose swap is never used costs
+/// nothing to build.
+#[derive(Clone, Debug, Default)]
+struct OwnerTable {
+    slots: Vec<u64>,
+    len: usize,
+}
+
+impl OwnerTable {
+    fn get(&self, block: u64) -> Option<(ProcId, PageNum)> {
+        match self.slots.get(block as usize) {
+            Some(&slot) if slot != 0 => {
+                Some((ProcId((slot >> 32) as u32 - 1), PageNum(slot as u32)))
+            }
+            _ => None,
+        }
+    }
+
+    fn insert(&mut self, block: u64, pid: ProcId, page: PageNum) {
+        let i = block as usize;
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, 0);
+        }
+        if self.slots[i] == 0 {
+            self.len += 1;
+        }
+        self.slots[i] = (u64::from(pid.0) + 1) << 32 | u64::from(page.0);
+    }
+
+    fn remove(&mut self, block: u64) {
+        if let Some(slot) = self.slots.get_mut(block as usize) {
+            if *slot != 0 {
+                *slot = 0;
+                self.len -= 1;
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Owned blocks in ascending block order.
+    fn iter(&self) -> impl Iterator<Item = (u64, (ProcId, PageNum))> + '_ {
+        (0..self.slots.len() as u64).filter_map(|b| self.get(b).map(|owner| (b, owner)))
+    }
+}
+
 /// The simulated per-node kernel memory manager.
 ///
 /// All state transitions preserve the frame-conservation invariant
@@ -102,10 +154,12 @@ pub struct Kernel {
     free: usize,
     swap: SwapSpace,
     procs: BTreeMap<ProcId, ProcMem>,
-    /// Blocks that hold a *valid, current* page image → owning page.
-    /// Covers both `Swapped` pages and clean resident pages' `swap_copy`.
-    /// Used by read-ahead to chase swap-contiguous neighbors.
-    swap_owner: BTreeMap<u64, (ProcId, PageNum)>,
+    /// Owner of every block holding a valid page image: both `Swapped`
+    /// pages and clean resident pages' `swap_copy`. Used by read-ahead to
+    /// chase swap-contiguous neighbors.
+    swap_owner: OwnerTable,
+    /// Reused buffer for the swap copies a write run makes stale.
+    stale: Vec<u64>,
     obs: ObsLink,
 }
 
@@ -119,7 +173,8 @@ impl Kernel {
             free,
             swap: SwapSpace::new(swap_blocks),
             procs: BTreeMap::new(),
-            swap_owner: BTreeMap::new(),
+            swap_owner: OwnerTable::default(),
+            stale: Vec::new(),
             obs: ObsLink::disabled(),
         }
     }
@@ -171,18 +226,10 @@ impl Kernel {
     pub fn unregister_proc(&mut self, pid: ProcId) -> Result<(), MemError> {
         let pm = self.procs.remove(&pid).ok_or(MemError::NoSuchProc(pid))?;
         self.free += pm.pt.resident();
-        for (page, st) in pm.pt.iter() {
-            let block = match st {
-                PageState::Swapped { block } => Some(*block),
-                PageState::Resident(r) => r.swap_copy,
-                PageState::Untouched => None,
-            };
-            if let Some(b) = block {
-                self.swap.free_block(b);
-                self.swap_owner.remove(&b);
-            }
-            let _ = page;
-        }
+        let mut blocks: Vec<u64> = (0..pm.pt.len())
+            .filter_map(|i| pm.pt.swap_block(PageNum(i as u32)))
+            .collect();
+        self.free_swap_blocks(&mut blocks);
         Ok(())
     }
 
@@ -219,7 +266,7 @@ impl Kernel {
     /// Touch page `p` of `pid` at `now`. On a hit, updates the reference
     /// bit, age, dirty bit and WSS accounting; on a miss, reports what the
     /// fault handler must do (state is not changed until
-    /// [`Kernel::map_in`]).
+    /// [`Kernel::map_in`]). A one-page [`Kernel::touch_run`].
     pub fn touch(
         &mut self,
         pid: ProcId,
@@ -227,56 +274,8 @@ impl Kernel {
         write: bool,
         now: SimTime,
     ) -> Result<TouchOutcome, MemError> {
-        let pm = self.proc_mut(pid)?;
-        if p.idx() >= pm.pt.len() {
-            return Err(MemError::BadPage(pid, p));
-        }
-        match *pm.pt.state(p) {
-            PageState::Resident(_) => {
-                let epoch = pm.epoch;
-                let mut fresh_ref = false;
-                let mut stale_copy = None;
-                pm.pt.update_resident(p, |r| {
-                    r.referenced = true;
-                    r.last_ref = now;
-                    if write {
-                        r.dirty = true;
-                        // A write makes any swap copy stale; drop it (the
-                        // Linux swap cache frees the entry on write), so
-                        // the invariant "dirty ⟹ no swap copy" holds.
-                        stale_copy = r.swap_copy.take();
-                    }
-                    if r.epoch != epoch {
-                        r.epoch = epoch;
-                        fresh_ref = true;
-                    }
-                });
-                if fresh_ref {
-                    pm.wss_current += 1;
-                }
-                if let Some(b) = stale_copy {
-                    self.swap_owner.remove(&b);
-                    self.swap.free_block(b);
-                }
-                Ok(TouchOutcome::Hit)
-            }
-            PageState::Swapped { block } => {
-                self.obs.emit(now, || ObsEvent::PageFault {
-                    pid: pid.0,
-                    page: p.0,
-                    major: true,
-                });
-                Ok(TouchOutcome::NeedsSwapIn { block })
-            }
-            PageState::Untouched => {
-                self.obs.emit(now, || ObsEvent::PageFault {
-                    pid: pid.0,
-                    page: p.0,
-                    major: false,
-                });
-                Ok(TouchOutcome::NeedsZeroFill)
-            }
-        }
+        let (_, fault) = self.touch_run(pid, p, 1, write, now)?;
+        Ok(fault.unwrap_or(TouchOutcome::Hit))
     }
 
     /// Touch up to `max` consecutive pages starting at `first`, stopping
@@ -303,64 +302,45 @@ impl Kernel {
         if max > 0 && end > pm.pt.len() {
             return Err(MemError::BadPage(pid, PageNum((end - 1) as u32)));
         }
-        let epoch = pm.epoch;
-        let mut hits = 0usize;
-        let mut stale_copies: Vec<u64> = Vec::new();
-        for i in first.idx()..end {
-            let p = PageNum(i as u32);
-            match *pm.pt.state(p) {
-                PageState::Resident(_) => {
-                    let mut fresh_ref = false;
-                    pm.pt.update_resident(p, |r| {
-                        r.referenced = true;
-                        r.last_ref = now;
-                        if write {
-                            r.dirty = true;
-                            if let Some(b) = r.swap_copy.take() {
-                                stale_copies.push(b);
-                            }
-                        }
-                        if r.epoch != epoch {
-                            r.epoch = epoch;
-                            fresh_ref = true;
-                        }
-                    });
-                    if fresh_ref {
-                        pm.wss_current += 1;
-                    }
-                    hits += 1;
-                }
-                PageState::Swapped { block } => {
-                    for b in stale_copies {
-                        self.swap_owner.remove(&b);
-                        self.swap.free_block(b);
-                    }
-                    self.obs.emit(now, || ObsEvent::PageFault {
-                        pid: pid.0,
-                        page: p.0,
-                        major: true,
-                    });
-                    return Ok((hits, Some(TouchOutcome::NeedsSwapIn { block })));
-                }
-                PageState::Untouched => {
-                    for b in stale_copies {
-                        self.swap_owner.remove(&b);
-                        self.swap.free_block(b);
-                    }
-                    self.obs.emit(now, || ObsEvent::PageFault {
-                        pid: pid.0,
-                        page: p.0,
-                        major: false,
-                    });
-                    return Ok((hits, Some(TouchOutcome::NeedsZeroFill)));
-                }
-            }
+        let mut stale = std::mem::take(&mut self.stale);
+        let (hits, fresh) =
+            pm.pt
+                .touch_resident_run(first.idx()..end, write, now, pm.epoch, &mut stale);
+        pm.wss_current += fresh;
+        let fault = if first.idx() + hits < end {
+            let p = PageNum((first.idx() + hits) as u32);
+            let block = pm.pt.swap_block(p);
+            self.obs.emit(now, || ObsEvent::PageFault {
+                pid: pid.0,
+                page: p.0,
+                major: block.is_some(),
+            });
+            Some(match block {
+                Some(block) => TouchOutcome::NeedsSwapIn { block },
+                None => TouchOutcome::NeedsZeroFill,
+            })
+        } else {
+            None
+        };
+        self.free_swap_blocks(&mut stale);
+        self.stale = stale;
+        Ok((hits, fault))
+    }
+
+    /// Release swap blocks that no longer hold a valid page image: drop
+    /// their owners and return them to the allocator as coalesced
+    /// extents. Leaves `blocks` empty.
+    fn free_swap_blocks(&mut self, blocks: &mut Vec<u64>) {
+        if blocks.is_empty() {
+            return;
         }
-        for b in stale_copies {
-            self.swap_owner.remove(&b);
-            self.swap.free_block(b);
+        for &b in blocks.iter() {
+            self.swap_owner.remove(b);
         }
-        Ok((hits, None))
+        for e in extents_from_blocks(blocks) {
+            self.swap.free_extent(e);
+        }
+        blocks.clear();
     }
 
     /// Map page `p` of `pid` into a free frame at `now`.
@@ -383,7 +363,7 @@ impl Kernel {
             return Err(MemError::BadPage(pid, p));
         }
         let epoch = pm.epoch;
-        let outcome = match *pm.pt.state(p) {
+        let outcome = match pm.pt.state(p) {
             PageState::Resident(_) => {
                 debug_assert!(false, "map_in of already-resident page {pid}/{p:?}");
                 return Ok(MapInOutcome::Zeroed);
@@ -487,17 +467,14 @@ impl Kernel {
             }
         }
         let pm = self.procs.get(&pid).ok_or(MemError::NoSuchProc(pid))?;
-        let need_fresh: u64 = pages
-            .iter()
-            .filter(|&&p| matches!(pm.pt.state(p), PageState::Resident(r) if r.dirty))
-            .count() as u64;
+        let need_fresh: u64 = pages.iter().filter(|&&p| pm.pt.is_dirty(p)).count() as u64;
         let fresh = self.swap.alloc(need_fresh)?;
         let mut fresh_blocks = fresh.iter().flat_map(|e| e.start..e.end());
 
         let mut outcomes = Vec::with_capacity(pages.len());
         for &p in pages {
             let pm = self.procs.get_mut(&pid).ok_or(MemError::NoSuchProc(pid))?;
-            let PageState::Resident(r) = *pm.pt.state(p) else {
+            let PageState::Resident(r) = pm.pt.state(p) else {
                 continue; // stale candidate; skip
             };
             let outcome = if r.dirty {
@@ -507,13 +484,13 @@ impl Kernel {
                 // agp-lint: allow(panic-site): pass-1 count matches allocation
                 let block = fresh_blocks.next().expect("allocated exactly enough");
                 pm.pt.set(p, PageState::Swapped { block });
-                self.swap_owner.insert(block, (pid, p));
+                self.swap_owner.insert(block, pid, p);
                 EvictOutcome::Write { block }
             } else {
                 match r.swap_copy {
                     Some(b) => {
                         pm.pt.set(p, PageState::Swapped { block: b });
-                        debug_assert_eq!(self.swap_owner.get(&b), Some(&(pid, p)));
+                        debug_assert_eq!(self.swap_owner.get(b), Some((pid, p)));
                         EvictOutcome::Dropped
                     }
                     None => {
@@ -548,17 +525,14 @@ impl Kernel {
             }
         }
         let pm = self.procs.get(&pid).ok_or(MemError::NoSuchProc(pid))?;
-        let need_fresh: u64 = pages
-            .iter()
-            .filter(|&&p| matches!(pm.pt.state(p), PageState::Resident(r) if r.dirty))
-            .count() as u64;
+        let need_fresh: u64 = pages.iter().filter(|&&p| pm.pt.is_dirty(p)).count() as u64;
         let fresh = self.swap.alloc(need_fresh)?;
         let mut fresh_blocks = fresh.iter().flat_map(|e| e.start..e.end());
 
         let mut blocks = Vec::new();
         for &p in pages {
             let pm = self.procs.get_mut(&pid).ok_or(MemError::NoSuchProc(pid))?;
-            let PageState::Resident(r) = *pm.pt.state(p) else {
+            let PageState::Resident(r) = pm.pt.state(p) else {
                 continue;
             };
             if !r.dirty {
@@ -573,7 +547,7 @@ impl Kernel {
                 r.dirty = false;
                 r.swap_copy = Some(block);
             });
-            self.swap_owner.insert(block, (pid, p));
+            self.swap_owner.insert(block, pid, p);
             blocks.push(block);
         }
         for b in fresh_blocks {
@@ -597,10 +571,15 @@ impl Kernel {
         Ok(self.proc_mut(pid)?.pt.clock_sweep(max_scan, max_victims))
     }
 
-    /// `pid`'s resident pages ordered oldest-first (selective/aggressive
-    /// page-out order).
-    pub fn resident_oldest_first(&self, pid: ProcId) -> Result<Vec<PageNum>, MemError> {
-        Ok(self.proc(pid)?.pt.resident_oldest_first())
+    /// `pid`'s `limit` oldest resident pages, oldest first
+    /// (selective/aggressive page-out order). See
+    /// [`PageTable::resident_oldest_first`].
+    pub fn resident_oldest_first(
+        &self,
+        pid: ProcId,
+        limit: usize,
+    ) -> Result<Vec<PageNum>, MemError> {
+        Ok(self.proc(pid)?.pt.resident_oldest_first(limit))
     }
 
     /// Sweep `pid`'s page table from position `hand`, collecting up to
@@ -627,7 +606,7 @@ impl Kernel {
         let mut scanned = 0;
         while scanned < max_scan.min(n) && out.len() < max_collect {
             let p = PageNum(hand as u32);
-            if matches!(pm.pt.state(p), PageState::Resident(r) if r.dirty) {
+            if pm.pt.is_dirty(p) {
                 out.push(p);
             }
             hand = (hand + 1) % n;
@@ -636,41 +615,21 @@ impl Kernel {
         Ok((out, hand))
     }
 
-    /// `pid`'s dirty resident pages ordered oldest-first (background
-    /// writer scan order).
-    pub fn dirty_oldest_first(&self, pid: ProcId, max: usize) -> Result<Vec<PageNum>, MemError> {
-        let pm = self.proc(pid)?;
-        let mut v: Vec<(SimTime, PageNum)> = pm
-            .pt
-            .iter_resident()
-            .filter(|(_, r)| r.dirty)
-            .map(|(p, r)| (r.last_ref, p))
-            .collect();
-        v.sort_unstable();
-        v.truncate(max);
-        Ok(v.into_iter().map(|(_, p)| p).collect())
-    }
-
-    /// Current swap block of a page if it is swapped out.
-    pub fn swap_block_of(&self, pid: ProcId, p: PageNum) -> Option<u64> {
-        match self.procs.get(&pid)?.pt.state(p) {
-            PageState::Swapped { block } => Some(*block),
-            _ => None,
-        }
-    }
-
     /// Follow the swap-block chain after `block`: pages (of the same
     /// process) stored at `block+1, block+2, …` that are currently swapped
     /// out, up to `limit` entries. This is the read-ahead neighbor lookup.
     pub fn swap_chain_after(&self, pid: ProcId, block: u64, limit: usize) -> Vec<(PageNum, u64)> {
         let mut out = Vec::new();
+        let Some(pm) = self.procs.get(&pid) else {
+            return out;
+        };
         let mut b = block + 1;
         while out.len() < limit {
-            match self.swap_owner.get(&b) {
-                Some(&(owner, page)) if owner == pid => {
+            match self.swap_owner.get(b) {
+                Some((owner, page)) if owner == pid => {
                     // Only chase pages that actually need reading (swapped
                     // out); resident swap copies are already in memory.
-                    if matches!(self.procs[&pid].pt.state(page), PageState::Swapped { .. }) {
+                    if !pm.pt.is_resident(page) {
                         out.push((page, b));
                     } else {
                         break;
@@ -748,7 +707,7 @@ impl Kernel {
                         }
                         if let Some(b) = r.swap_copy {
                             // Clean copies must be registered for read-ahead.
-                            if self.swap_owner.get(&b) != Some(&(pid, p)) {
+                            if self.swap_owner.get(b) != Some((pid, p)) {
                                 return Err(format!(
                                     "swap copy {b} of {pid}/{p:?} missing from owner map"
                                 ));
@@ -757,7 +716,7 @@ impl Kernel {
                         }
                     }
                     PageState::Swapped { block } => {
-                        if self.swap_owner.get(block) != Some(&(pid, p)) {
+                        if self.swap_owner.get(block) != Some((pid, p)) {
                             return Err(format!(
                                 "swapped page {pid}/{p:?} block {block} not in owner map"
                             ));
@@ -790,10 +749,10 @@ impl Kernel {
                 self.swap_owner.len()
             ));
         }
-        for (&block, &(pid, p)) in &self.swap_owner {
+        for (block, (pid, p)) in self.swap_owner.iter() {
             let references = self.procs.get(&pid).is_some_and(|pm| {
                 p.idx() < pm.pt.len()
-                    && match *pm.pt.state(p) {
+                    && match pm.pt.state(p) {
                         PageState::Swapped { block: b } => b == block,
                         PageState::Resident(r) => r.swap_copy == Some(block),
                         PageState::Untouched => false,
@@ -855,7 +814,7 @@ mod tests {
         let out = k.evict(ProcId(1), PageNum(2)).unwrap();
         assert_eq!(out, EvictOutcome::Dropped);
         assert_eq!(
-            *k.proc(ProcId(1)).unwrap().pt.state(PageNum(2)),
+            k.proc(ProcId(1)).unwrap().pt.state(PageNum(2)),
             PageState::Untouched
         );
         assert_eq!(k.free_frames(), 64);
@@ -1091,45 +1050,42 @@ mod tests {
         k.check_invariants().unwrap();
     }
 
+    /// The block-indexed owner table answers lookups and iterates in the
+    /// same (ascending block) order as a `BTreeMap` under random inserts
+    /// and removes.
     #[test]
-    fn touch_run_matches_single_touches() {
-        let pid = ProcId(1);
-        // Build two identical kernels; drive one with touch_run and the
-        // other with per-page touch; states must match.
-        let mut k1 = kernel(64);
-        let mut k2 = kernel(64);
-        for k in [&mut k1, &mut k2] {
-            k.register_proc(pid, 16);
-            for p in 0..8 {
-                k.map_in(pid, PageNum(p), T).unwrap();
-            }
-            // Page 5 swapped out.
-            k.touch(pid, PageNum(5), true, T).unwrap();
-            k.evict(pid, PageNum(5)).unwrap();
-        }
-        let t = SimTime(9_999);
-        let (hits, fault) = k1.touch_run(pid, PageNum(0), 16, true, t).unwrap();
-        let mut hits2 = 0;
-        let mut fault2 = None;
-        for p in 0..16 {
-            match k2.touch(pid, PageNum(p), true, t).unwrap() {
-                TouchOutcome::Hit => hits2 += 1,
-                other => {
-                    fault2 = Some(other);
-                    break;
+    fn owner_table_matches_btreemap() {
+        agp_sim::prop::check(
+            128,
+            |rng| {
+                agp_sim::prop::vec(rng, 1..200, |r| {
+                    (
+                        r.chance(0.6),
+                        r.below(300),
+                        r.below(4) as u32,
+                        r.below(1 << 20) as u32,
+                    )
+                })
+            },
+            |ops| {
+                let mut table = OwnerTable::default();
+                let mut map: BTreeMap<u64, (ProcId, PageNum)> = BTreeMap::new();
+                for &(insert, block, pid, page) in ops {
+                    if insert {
+                        table.insert(block, ProcId(pid), PageNum(page));
+                        map.insert(block, (ProcId(pid), PageNum(page)));
+                    } else {
+                        table.remove(block);
+                        map.remove(&block);
+                    }
+                    assert_eq!(table.len(), map.len());
+                    assert_eq!(table.get(block), map.get(&block).copied());
                 }
-            }
-        }
-        assert_eq!(hits, hits2);
-        assert_eq!(hits, 5, "pages 0..5 hit, page 5 faults");
-        assert_eq!(fault, fault2);
-        assert!(matches!(fault, Some(TouchOutcome::NeedsSwapIn { .. })));
-        assert_eq!(
-            k1.proc(pid).unwrap().wss_current(),
-            k2.proc(pid).unwrap().wss_current()
+                let got: Vec<_> = table.iter().collect();
+                let want: Vec<_> = map.into_iter().collect();
+                assert_eq!(got, want);
+            },
         );
-        k1.check_invariants().unwrap();
-        k2.check_invariants().unwrap();
     }
 
     #[test]

@@ -46,10 +46,29 @@ impl PageState {
     }
 }
 
+/// `flags` bit: the page occupies a frame.
+const RESIDENT: u8 = 1;
+/// `flags` bit: hardware reference bit of a resident page.
+const REFERENCED: u8 = 2;
+/// `flags` bit: a resident page's frame is newer than any swap copy.
+const DIRTY: u8 = 4;
+
 /// One process's page table plus bookkeeping counters.
+///
+/// Stored by column, one entry per page, like the kernel's flat per-slot
+/// arrays: `flags` (resident/referenced/dirty bits), `swap` (block + 1,
+/// 0 for none — the `Swapped` block or a resident page's `swap_copy`),
+/// `last_ref` (µs) and `epoch`. An untouched page is all zeros in every
+/// column, so a fresh table is a zeroed allocation whose pages cost
+/// nothing until first touched. [`PageState`] is the by-value view of one
+/// row. `last_ref` and `epoch` are meaningful only while the page is
+/// resident.
 #[derive(Clone, Debug)]
 pub struct PageTable {
-    pages: Vec<PageState>,
+    flags: Vec<u8>,
+    swap: Vec<u64>,
+    last_ref: Vec<u64>,
+    epoch: Vec<u32>,
     resident: usize,
     dirty_resident: usize,
     /// Persistent clock position for sweep-style scans, so repeated sweeps
@@ -62,7 +81,10 @@ impl PageTable {
     /// A table of `n` untouched pages.
     pub fn new(n: usize) -> Self {
         PageTable {
-            pages: vec![PageState::Untouched; n],
+            flags: vec![0; n],
+            swap: vec![0; n],
+            last_ref: vec![0; n],
+            epoch: vec![0; n],
             resident: 0,
             dirty_resident: 0,
             hand: 0,
@@ -71,12 +93,12 @@ impl PageTable {
 
     /// Address-space size in pages.
     pub fn len(&self) -> usize {
-        self.pages.len()
+        self.flags.len()
     }
 
     /// Whether the address space is empty.
     pub fn is_empty(&self) -> bool {
-        self.pages.is_empty()
+        self.flags.is_empty()
     }
 
     /// Number of pages currently resident (the process RSS).
@@ -97,77 +119,179 @@ impl PageTable {
 
     /// Advance the clock hand by `steps`, wrapping.
     pub fn advance_hand(&mut self, steps: usize) {
-        if !self.pages.is_empty() {
-            self.hand = (self.hand + steps) % self.pages.len();
+        if !self.flags.is_empty() {
+            self.hand = (self.hand + steps) % self.flags.len();
         }
     }
 
     /// State of page `p`.
-    pub fn state(&self, p: PageNum) -> &PageState {
-        &self.pages[p.idx()]
+    pub fn state(&self, p: PageNum) -> PageState {
+        let i = p.idx();
+        let flags = self.flags[i];
+        let swap = self.swap[i];
+        if flags & RESIDENT != 0 {
+            PageState::Resident(Resident {
+                referenced: flags & REFERENCED != 0,
+                dirty: flags & DIRTY != 0,
+                last_ref: SimTime(self.last_ref[i]),
+                swap_copy: swap.checked_sub(1),
+                epoch: self.epoch[i],
+            })
+        } else if swap != 0 {
+            PageState::Swapped { block: swap - 1 }
+        } else {
+            PageState::Untouched
+        }
     }
 
-    /// Internal accessor that keeps the counters honest; all mutation goes
-    /// through [`PageTable::set`].
+    /// Whether page `p` occupies a frame.
+    pub fn is_resident(&self, p: PageNum) -> bool {
+        self.flags[p.idx()] & RESIDENT != 0
+    }
+
+    /// Whether page `p` is resident and dirty.
+    pub fn is_dirty(&self, p: PageNum) -> bool {
+        self.flags[p.idx()] & (RESIDENT | DIRTY) == RESIDENT | DIRTY
+    }
+
+    /// The swap block page `p` references, resident or not: its
+    /// `Swapped` block or its resident `swap_copy`.
+    pub fn swap_block(&self, p: PageNum) -> Option<u64> {
+        self.swap[p.idx()].checked_sub(1)
+    }
+
+    /// Write page `p`'s state, keeping the resident and dirty counters
+    /// honest.
     pub fn set(&mut self, p: PageNum, new: PageState) {
-        let old = &self.pages[p.idx()];
-        if old.is_resident() {
+        let i = p.idx();
+        let old = self.flags[i];
+        if old & RESIDENT != 0 {
             self.resident -= 1;
-            if matches!(old, PageState::Resident(r) if r.dirty) {
+            if old & DIRTY != 0 {
                 self.dirty_resident -= 1;
             }
         }
-        if new.is_resident() {
-            self.resident += 1;
-            if matches!(new, PageState::Resident(r) if r.dirty) {
-                self.dirty_resident += 1;
+        match new {
+            PageState::Untouched => {
+                self.flags[i] = 0;
+                self.swap[i] = 0;
+            }
+            PageState::Swapped { block } => {
+                self.flags[i] = 0;
+                self.swap[i] = block + 1;
+            }
+            PageState::Resident(r) => {
+                self.resident += 1;
+                let mut flags = RESIDENT;
+                if r.referenced {
+                    flags |= REFERENCED;
+                }
+                if r.dirty {
+                    flags |= DIRTY;
+                    self.dirty_resident += 1;
+                }
+                self.flags[i] = flags;
+                self.swap[i] = r.swap_copy.map_or(0, |b| b + 1);
+                self.last_ref[i] = r.last_ref.0;
+                self.epoch[i] = r.epoch;
             }
         }
-        self.pages[p.idx()] = new;
     }
 
     /// Mutate a resident page's metadata in place via `f`; panics if the
     /// page is not resident. Keeps the dirty counter consistent.
     pub fn update_resident(&mut self, p: PageNum, f: impl FnOnce(&mut Resident)) {
-        let PageState::Resident(mut r) = self.pages[p.idx()] else {
+        let PageState::Resident(mut r) = self.state(p) else {
             // agp-lint: allow(panic-site): documented contract — callers match
             panic!("update_resident on non-resident page {p:?}");
         };
-        let was_dirty = r.dirty;
         f(&mut r);
-        if r.dirty != was_dirty {
-            if r.dirty {
-                self.dirty_resident += 1;
-            } else {
-                self.dirty_resident -= 1;
-            }
-        }
-        self.pages[p.idx()] = PageState::Resident(r);
+        self.set(p, PageState::Resident(r));
     }
 
-    /// Iterate over `(PageNum, &PageState)` for all pages.
-    pub fn iter(&self) -> impl Iterator<Item = (PageNum, &PageState)> {
-        self.pages
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (PageNum(i as u32), s))
+    /// Touch the resident pages of `pages` in order, stopping at the first
+    /// page that is not resident: set the reference bit and `last_ref`,
+    /// and on a `write` set the dirty bit and drop the (now stale) swap
+    /// copy, appending its block to `stale`. A page whose epoch differs
+    /// from `epoch` takes it. Returns `(touched, fresh)`: the number of
+    /// pages touched and how many of them were first referenced in this
+    /// epoch.
+    ///
+    /// Equivalent to one [`PageTable::update_resident`] per page; this is
+    /// the executor's hot loop, so it works on the columns directly.
+    pub fn touch_resident_run(
+        &mut self,
+        pages: std::ops::Range<usize>,
+        write: bool,
+        now: SimTime,
+        epoch: u32,
+        stale: &mut Vec<u64>,
+    ) -> (usize, usize) {
+        let mut touched = 0;
+        let mut fresh = 0;
+        for i in pages {
+            let flags = self.flags[i];
+            if flags & RESIDENT == 0 {
+                break;
+            }
+            let mut new = flags | REFERENCED;
+            if write {
+                new |= DIRTY;
+                if flags & DIRTY == 0 {
+                    self.dirty_resident += 1;
+                }
+                // A write makes any swap copy stale; drop it (the Linux
+                // swap cache frees the entry on write), so the invariant
+                // "dirty ⟹ no swap copy" holds.
+                if let Some(b) = self.swap[i].checked_sub(1) {
+                    stale.push(b);
+                    self.swap[i] = 0;
+                }
+            }
+            self.flags[i] = new;
+            self.last_ref[i] = now.0;
+            if self.epoch[i] != epoch {
+                self.epoch[i] = epoch;
+                fresh += 1;
+            }
+            touched += 1;
+        }
+        (touched, fresh)
+    }
+
+    /// Iterate over `(PageNum, PageState)` for all pages.
+    pub fn iter(&self) -> impl Iterator<Item = (PageNum, PageState)> + '_ {
+        (0..self.len()).map(|i| {
+            let p = PageNum(i as u32);
+            (p, self.state(p))
+        })
     }
 
     /// Iterate over resident pages only.
-    pub fn iter_resident(&self) -> impl Iterator<Item = (PageNum, &Resident)> {
-        self.pages.iter().enumerate().filter_map(|(i, s)| match s {
-            PageState::Resident(r) => Some((PageNum(i as u32), r)),
+    pub fn iter_resident(&self) -> impl Iterator<Item = (PageNum, Resident)> + '_ {
+        self.iter().filter_map(|(p, s)| match s {
+            PageState::Resident(r) => Some((p, r)),
             _ => None,
         })
     }
 
-    /// Resident pages sorted oldest-first (by `last_ref`, ties by page
-    /// number). This is the ordering selective/aggressive page-out uses.
-    pub fn resident_oldest_first(&self) -> Vec<PageNum> {
-        let mut v: Vec<(SimTime, PageNum)> =
-            self.iter_resident().map(|(p, r)| (r.last_ref, p)).collect();
+    /// The `limit` oldest resident pages, oldest first (by `last_ref`,
+    /// ties by page number). This is the ordering selective/aggressive
+    /// page-out uses; `usize::MAX` orders the whole resident set.
+    ///
+    /// The keys are unique, so selecting the `limit` smallest and sorting
+    /// only those gives exactly the prefix of the full order.
+    pub fn resident_oldest_first(&self, limit: usize) -> Vec<PageNum> {
+        let mut v: Vec<(u64, u32)> = (0..self.len())
+            .filter(|&i| self.flags[i] & RESIDENT != 0)
+            .map(|i| (self.last_ref[i], i as u32))
+            .collect();
+        if limit < v.len() {
+            v.select_nth_unstable(limit);
+            v.truncate(limit);
+        }
         v.sort_unstable();
-        v.into_iter().map(|(_, p)| p).collect()
+        v.into_iter().map(|(_, p)| PageNum(p)).collect()
     }
 
     /// Clock sweep from the stored hand position: visit up to `max_scan`
@@ -175,7 +299,7 @@ impl PageTable {
     /// unreferenced resident pages are collected as eviction candidates
     /// (up to `max_victims`). The hand advances past every visited page.
     pub fn clock_sweep(&mut self, max_scan: usize, max_victims: usize) -> Vec<PageNum> {
-        let n = self.pages.len();
+        let n = self.flags.len();
         if n == 0 || max_victims == 0 {
             return Vec::new();
         }
@@ -185,10 +309,10 @@ impl PageTable {
             let i = self.hand;
             self.hand = (self.hand + 1) % n;
             scanned += 1;
-            if let PageState::Resident(mut r) = self.pages[i] {
-                if r.referenced {
-                    r.referenced = false;
-                    self.pages[i] = PageState::Resident(r);
+            let flags = self.flags[i];
+            if flags & RESIDENT != 0 {
+                if flags & REFERENCED != 0 {
+                    self.flags[i] = flags & !REFERENCED;
                 } else {
                     victims.push(PageNum(i as u32));
                 }
@@ -251,9 +375,10 @@ mod tests {
         pt.set(PageNum(2), resident(10, false));
         pt.set(PageNum(4), resident(30, false));
         assert_eq!(
-            pt.resident_oldest_first(),
+            pt.resident_oldest_first(usize::MAX),
             vec![PageNum(2), PageNum(4), PageNum(0)]
         );
+        assert_eq!(pt.resident_oldest_first(2), vec![PageNum(2), PageNum(4)]);
     }
 
     #[test]
@@ -263,9 +388,11 @@ mod tests {
             pt.set(PageNum(i), resident(7, false));
         }
         assert_eq!(
-            pt.resident_oldest_first(),
+            pt.resident_oldest_first(usize::MAX),
             vec![PageNum(0), PageNum(1), PageNum(2)]
         );
+        assert_eq!(pt.resident_oldest_first(1), vec![PageNum(0)]);
+        assert!(pt.resident_oldest_first(0).is_empty());
     }
 
     #[test]
