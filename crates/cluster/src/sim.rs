@@ -791,19 +791,20 @@ impl ClusterSim {
                         };
                         let mut completion = t_fault;
                         if !plan.writes.is_empty() {
-                            let req = DiskRequest::write(plan.writes);
+                            let req = DiskRequest::write(&plan.writes);
                             let pages = req.pages();
                             let c = self.submit_io(ni, t_fault, &req);
                             self.nodes[ni].trace.record_out(c, pages);
                             completion = completion.max(c);
                         }
                         if !plan.reads.is_empty() {
-                            let req = DiskRequest::read(plan.reads);
+                            let req = DiskRequest::read(&plan.reads);
                             let pages = req.pages();
                             let c = self.submit_io(ni, t_fault, &req);
                             self.nodes[ni].trace.record_in(c, pages);
                             completion = completion.max(c);
                         }
+                        self.nodes[ni].engine.recycle_fault_plan(plan);
                         if completion > t_fault {
                             self.obs.emit(t_fault, || ObsEvent::FaultService {
                                 pid: pid.0,
@@ -904,8 +905,8 @@ impl ClusterSim {
     }
 
     fn release_barrier(&mut self, job: usize) -> Result<(), SimError> {
-        let members = self.job_procs[job].clone();
-        for p in members {
+        for i in 0..self.job_procs[job].len() {
+            let p = self.job_procs[job][i];
             let proc = &mut self.procs[p];
             if proc.state == PState::Blocked(BlockKind::Barrier) {
                 if proc.stop_pending {
@@ -989,8 +990,8 @@ impl ClusterSim {
 
     fn start_batch_job(&mut self, j: usize) -> Result<(), SimError> {
         let now = self.now;
-        let members = self.job_procs[j].clone();
-        for &p in &members {
+        for i in 0..self.job_procs[j].len() {
+            let p = self.job_procs[j][i];
             let pid = self.procs[p].pid;
             let ni = self.procs[p].node;
             let node = &mut self.nodes[ni];
@@ -1023,9 +1024,8 @@ impl ClusterSim {
 
         // 1. SIGSTOP every rank of every outgoing job.
         for &job in &out {
-            let members = self.job_procs[job.0 as usize].clone();
-            for p in members {
-                self.stop_proc(p);
+            for i in 0..self.job_procs[job.0 as usize].len() {
+                self.stop_proc(self.job_procs[job.0 as usize][i]);
             }
         }
         // Background writing always halts at the switch (paper §3.4).
@@ -1036,8 +1036,8 @@ impl ClusterSim {
         // 2. Per node: adaptive_page_out / adaptive_page_in around the
         //    incoming rank, then SIGCONT it.
         for &job in &inn {
-            let members = self.job_procs[job.0 as usize].clone();
-            for &p in &members {
+            for i in 0..self.job_procs[job.0 as usize].len() {
+                let p = self.job_procs[job.0 as usize][i];
                 if self.procs[p].state == PState::Done {
                     continue;
                 }
@@ -1061,7 +1061,7 @@ impl ClusterSim {
                             .map_err(mem_err("adaptive_page_out", ni, now))?
                     };
                     if !plan.writes.is_empty() {
-                        let req = DiskRequest::write(plan.writes);
+                        let req = DiskRequest::write(&plan.writes);
                         let pages = req.pages();
                         let c = self.submit_io(ni, now, &req);
                         self.nodes[ni].trace.record_out(c, pages);
@@ -1083,7 +1083,7 @@ impl ClusterSim {
                         .map_err(mem_err("adaptive_page_in", ni, now))?
                 };
                 if !plan_in.reads.is_empty() {
-                    let req = DiskRequest::read(plan_in.reads);
+                    let req = DiskRequest::read(&plan_in.reads);
                     let pages = req.pages();
                     let c = self.submit_io(ni, now, &req);
                     self.nodes[ni].trace.record_in(c, pages);
@@ -1200,7 +1200,7 @@ impl ClusterSim {
                 ))?
             };
             if !ext.is_empty() {
-                let req = DiskRequest::write(ext);
+                let req = DiskRequest::write(&ext);
                 let pages = req.pages();
                 let c = self.submit_io(ni, now, &req);
                 self.nodes[ni].trace.record_out(c, pages);
@@ -1384,8 +1384,8 @@ impl ClusterSim {
         for &j in &victims {
             let seed = self.cfg.seed.wrapping_add((j as u64) * 7919);
             let spec = self.cfg.jobs[j].workload;
-            let members = self.job_procs[j].clone();
-            for &p in &members {
+            for i in 0..self.job_procs[j].len() {
+                let p = self.job_procs[j][i];
                 let pid = self.procs[p].pid;
                 let pn = self.procs[p].node;
                 if pn != ni && self.nodes[pn].kernel.proc(pid).is_ok() {
@@ -1547,7 +1547,7 @@ impl ClusterSim {
         };
         let mut write_pages = 0;
         if !writes.is_empty() {
-            let req = DiskRequest::write(writes);
+            let req = DiskRequest::write(&writes);
             write_pages = req.pages();
             let c = self.submit_io(ni, now, &req);
             self.nodes[ni].trace.record_out(c, write_pages);

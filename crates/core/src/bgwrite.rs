@@ -222,7 +222,9 @@ mod tests {
         bg.start(pid);
         bg.tick(&mut k).unwrap();
         let pages: Vec<PageNum> = (0..64).map(PageNum).collect();
-        let writes = k.evict_batch(pid, &pages, &mut Vec::new()).unwrap();
+        let mut writes = Vec::new();
+        k.evict_batch(pid, &pages, &mut Vec::new(), &mut writes)
+            .unwrap();
         assert!(writes.is_empty(), "background-cleaned pages drop for free");
         k.check_invariants().unwrap();
     }

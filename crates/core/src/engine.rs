@@ -130,8 +130,7 @@ impl GlobalLruCache {
     fn rebuild(&mut self, kern: &Kernel) {
         self.entries.clear();
         self.cursor = 0;
-        let pids: Vec<ProcId> = kern.procs_rss().map(|(p, _)| p).collect();
-        for pid in pids {
+        for (pid, _) in kern.procs_rss() {
             if let Ok(pm) = kern.proc(pid) {
                 for (page, r) in pm.pt.iter_resident() {
                     self.entries.push((r.last_ref, pid, page));
@@ -141,10 +140,10 @@ impl GlobalLruCache {
         self.entries.sort_unstable();
     }
 
-    /// Pop up to `max` currently valid victims, grouped per process in
-    /// encounter order (grouping lets the kernel batch swap allocation).
-    fn pop_victims(&mut self, kern: &Kernel, max: usize) -> Vec<(ProcId, Vec<PageNum>)> {
-        let mut out: Vec<(ProcId, Vec<PageNum>)> = Vec::new();
+    /// Append up to `max` currently valid victims to `out` in encounter
+    /// order (the caller evicts each run of one process's pages as one
+    /// batch, so the kernel batches its swap allocation).
+    fn pop_victims(&mut self, kern: &Kernel, max: usize, out: &mut Vec<(ProcId, PageNum)>) {
         let mut taken = 0;
         let mut rebuilt = false;
         while taken < max {
@@ -164,17 +163,33 @@ impl GlobalLruCache {
             let Ok(pm) = kern.proc(pid) else { continue };
             match pm.pt.state(page) {
                 agp_mem::PageState::Resident(r) if r.last_ref == t => {
-                    match out.last_mut() {
-                        Some((p, v)) if *p == pid => v.push(page),
-                        _ => out.push((pid, vec![page])),
-                    }
+                    out.push((pid, page));
                     taken += 1;
                 }
                 _ => {} // stale: evicted or re-referenced since snapshot
             }
         }
-        out
     }
+}
+
+/// Buffers the engine reuses across calls, so the demand-fault and
+/// reclaim paths allocate nothing once they have grown to their working
+/// size. Only their capacity carries over: each call clears a buffer
+/// before filling it.
+#[derive(Clone, Debug, Default)]
+struct Scratch {
+    /// Pages evicted by the current batch, in eviction order.
+    log: Vec<PageNum>,
+    /// Eviction candidates of the current batch (clock victims, the
+    /// selective prefix, one process's run of LRU victims).
+    victims: Vec<PageNum>,
+    /// Processes in decreasing-RSS order for the clock rounds.
+    by_rss: Vec<(usize, ProcId)>,
+    /// Global-LRU victims across processes, in eviction order.
+    lru: Vec<(ProcId, PageNum)>,
+    /// The extent buffers of the last fault plan, handed back through
+    /// [`PagingEngine::recycle_fault_plan`].
+    plan: FaultPlan,
 }
 
 /// Per-node paging engine.
@@ -190,6 +205,7 @@ pub struct PagingEngine {
     recorders: BTreeMap<ProcId, PageRecorder>,
     selective_cache: SelectiveCache,
     lru_cache: GlobalLruCache,
+    scratch: Scratch,
     bg: BgWriter,
     stats: EngineStats,
     obs: ObsLink,
@@ -205,6 +221,7 @@ impl PagingEngine {
             recorders: BTreeMap::new(),
             selective_cache: SelectiveCache::default(),
             lru_cache: GlobalLruCache::default(),
+            scratch: Scratch::default(),
             bg: BgWriter::default(),
             stats: EngineStats::default(),
             obs: ObsLink::disabled(),
@@ -295,7 +312,9 @@ impl PagingEngine {
     ///
     /// Returns the disk work; the caller charges time by submitting writes
     /// then reads to the node's FIFO disk and blocking the process until
-    /// the last read completes.
+    /// the last read completes. The plan's buffers are the engine's: hand
+    /// the plan back with [`PagingEngine::recycle_fault_plan`] once it is
+    /// submitted and the next fault reuses them instead of allocating.
     pub fn on_fault(
         &mut self,
         kern: &mut Kernel,
@@ -304,13 +323,15 @@ impl PagingEngine {
         now: SimTime,
     ) -> Result<FaultPlan, MemError> {
         let _perf = agp_perf::scope(agp_perf::Span::MemFault);
-        let mut plan = FaultPlan::default();
+        let mut plan = std::mem::take(&mut self.scratch.plan);
+        plan.writes.clear();
+        plan.reads.clear();
 
         // Watermark model: reclaim to freepages.high once free dips below
         // freepages.min (paper §2).
         let target = kern.reclaim_target();
         if target > 0 {
-            plan.writes = self.free_pages(kern, target, now)?;
+            self.free_pages_inner(kern, target, now, self.cfg.selective, &mut plan.writes)?;
         }
 
         match kern.map_in(pid, page, now)? {
@@ -320,7 +341,6 @@ impl PagingEngine {
             }
             MapInOutcome::Read { block } => {
                 self.stats.major_faults += 1;
-                let mut blocks = vec![block];
                 // Read-ahead: chase swap-contiguous neighbors, limited by
                 // the configured window and by frames above freepages.min
                 // (read-ahead must never itself force reclaim).
@@ -329,36 +349,31 @@ impl PagingEngine {
                     .free_frames()
                     .saturating_sub(kern.params().freepages_min)
                     .min(window);
-                let chain = kern.swap_chain_after(pid, block, budget);
-                for (p2, b2) in chain {
-                    match kern.map_in(pid, p2, now)? {
-                        MapInOutcome::Read { block: rb } => {
-                            debug_assert_eq!(rb, b2);
-                            blocks.push(rb);
-                            self.stats.readahead_pages += 1;
-                            self.obs.emit(now, || ObsEvent::ReadaheadHit {
-                                pid: pid.0,
-                                page: p2.0,
-                            });
-                        }
-                        // swap_chain_after only returns Swapped pages, which
-                        // map_in always reads from disk.
-                        // agp-lint: allow(panic-site): chain pages are swapped
-                        MapInOutcome::Zeroed => unreachable!("chain pages are swapped"),
-                    }
-                }
-                plan.mapped = blocks.len();
-                plan.reads = extents_from_blocks(&mut blocks);
+                let obs = &self.obs;
+                let ahead = kern.map_in_chain(pid, block, budget, now, |p2| {
+                    obs.emit(now, || ObsEvent::ReadaheadHit {
+                        pid: pid.0,
+                        page: p2.0,
+                    });
+                })?;
+                self.stats.readahead_pages += ahead as u64;
+                plan.mapped = 1 + ahead;
+                plan.reads.push(Extent::new(block, plan.mapped as u64));
                 self.obs.emit(now, || ObsEvent::MajorFault {
                     pid: pid.0,
                     page: page.0,
-                    readahead: (plan.mapped - 1) as u32,
+                    readahead: ahead as u32,
                     write_pages: plan.writes.iter().map(|e| e.len).sum(),
-                    read_pages: plan.reads.iter().map(|e| e.len).sum(),
+                    read_pages: plan.mapped as u64,
                 });
             }
         }
         Ok(plan)
+    }
+
+    /// Give a submitted [`FaultPlan`]'s buffers back for the next fault.
+    pub fn recycle_fault_plan(&mut self, plan: FaultPlan) {
+        self.scratch.plan = plan;
     }
 
     // ------------------------------------------------------------------
@@ -381,52 +396,55 @@ impl PagingEngine {
         target: usize,
         now: SimTime,
     ) -> Result<Vec<Extent>, MemError> {
-        self.free_pages_inner(kern, target, now, self.cfg.selective)
+        let mut writes = Vec::new();
+        self.free_pages_inner(kern, target, now, self.cfg.selective, &mut writes)?;
+        Ok(writes)
     }
 
     /// Reclaim with an explicit choice of whether the outgoing process is
-    /// victimized first. The demand path follows `cfg.selective`; the
-    /// adaptive page-in replay always passes `true` (paper §3.3: the
-    /// induced faults "will not page out any useful pages because only
-    /// the pages of the outgoing process will be swapped out").
+    /// victimized first, appending the write-back extents to `writes`.
+    /// The demand path follows `cfg.selective`; the adaptive page-in
+    /// replay always passes `true` (paper §3.3: the induced faults "will
+    /// not page out any useful pages because only the pages of the
+    /// outgoing process will be swapped out").
     fn free_pages_inner(
         &mut self,
         kern: &mut Kernel,
         target: usize,
         now: SimTime,
         selective_first: bool,
-    ) -> Result<Vec<Extent>, MemError> {
+        writes: &mut Vec<Extent>,
+    ) -> Result<(), MemError> {
         let _perf = agp_perf::scope(agp_perf::Span::MemReclaim);
         self.stats.reclaim_calls += 1;
-        let mut writes: Vec<Extent> = Vec::new();
+        let first_write = writes.len();
         let mut freed = 0usize;
+        let mut victims = std::mem::take(&mut self.scratch.victims);
 
         // Phase 1: selective page-out of the outgoing process, consuming
         // the per-switch oldest-first cache (rebuilt when the outgoing
         // process changes).
         if selective_first && freed < target {
             if let Some(out) = self.outgoing {
-                if kern.proc(out).is_ok() {
+                if let Ok(pm) = kern.proc(out) {
                     if self.selective_cache.pid != Some(out) {
                         self.selective_cache = SelectiveCache {
                             pid: Some(out),
-                            pages: kern.resident_oldest_first(out, usize::MAX)?,
+                            pages: pm.pt.resident_oldest_first(usize::MAX),
                             cursor: 0,
                         };
                     }
-                    let mut cands = Vec::new();
-                    {
-                        let cache = &mut self.selective_cache;
-                        while cands.len() < target - freed && cache.cursor < cache.pages.len() {
-                            let p = cache.pages[cache.cursor];
-                            cache.cursor += 1;
-                            if kern.proc(out)?.pt.is_resident(p) {
-                                cands.push(p);
-                            }
+                    let cache = &mut self.selective_cache;
+                    victims.clear();
+                    while victims.len() < target - freed && cache.cursor < cache.pages.len() {
+                        let p = cache.pages[cache.cursor];
+                        cache.cursor += 1;
+                        if pm.pt.is_resident(p) {
+                            victims.push(p);
                         }
                     }
-                    if !cands.is_empty() {
-                        freed += self.evict_recorded(kern, out, &cands, &mut writes)?;
+                    if !victims.is_empty() {
+                        freed += self.evict_recorded(kern, out, &victims, writes)?;
                     }
                 }
             }
@@ -443,14 +461,15 @@ impl PagingEngine {
                 // paper's §3.1 pathology: a descheduled job's pages and a
                 // rescheduled job's *lingering* pages are evicted on age
                 // grounds even when about to be used.
+                let mut by_rss = std::mem::take(&mut self.scratch.by_rss);
                 let mut rounds = 0;
                 while freed < target && rounds < 8 {
                     rounds += 1;
                     let mut progressed = false;
-                    let mut procs: Vec<(usize, ProcId)> =
-                        kern.procs_rss().map(|(p, r)| (r, p)).collect();
-                    procs.sort_unstable_by(|a, b| b.cmp(a));
-                    for (rss, pid) in procs {
+                    by_rss.clear();
+                    by_rss.extend(kern.procs_rss().map(|(p, r)| (r, p)));
+                    by_rss.sort_unstable_by(|a, b| b.cmp(a));
+                    for &(rss, pid) in &by_rss {
                         if freed >= target {
                             break;
                         }
@@ -459,9 +478,10 @@ impl PagingEngine {
                         }
                         let len = kern.proc(pid)?.pt.len();
                         let max_scan = (len / 4).max(512).min(len);
-                        let victims = kern.clock_sweep_proc(pid, max_scan, target - freed)?;
+                        victims.clear();
+                        kern.clock_sweep_proc(pid, max_scan, target - freed, &mut victims)?;
                         if !victims.is_empty() {
-                            freed += self.evict_recorded(kern, pid, &victims, &mut writes)?;
+                            freed += self.evict_recorded(kern, pid, &victims, writes)?;
                             progressed = true;
                         }
                     }
@@ -471,40 +491,49 @@ impl PagingEngine {
                         // fault can make progress.
                         if let Some(pid) = kern.largest_rss_proc(None) {
                             let cands = kern.resident_oldest_first(pid, target - freed)?;
-                            freed += self.evict_recorded(kern, pid, &cands, &mut writes)?;
+                            freed += self.evict_recorded(kern, pid, &cands, writes)?;
                         }
                         break;
                     }
                 }
+                self.scratch.by_rss = by_rss;
             }
             crate::policy::BaselineKind::GlobalLru => {
                 // Idealized exact LRU: evict the globally oldest resident
                 // pages regardless of owner — the abstraction §3.1
                 // reasons with ("A's lingering pages … are older than B's
                 // pages"). See [`GlobalLruCache`].
+                let mut lru = std::mem::take(&mut self.scratch.lru);
                 while freed < target {
-                    let groups = self.lru_cache.pop_victims(kern, target - freed);
-                    if groups.is_empty() {
+                    lru.clear();
+                    self.lru_cache.pop_victims(kern, target - freed, &mut lru);
+                    if lru.is_empty() {
                         break; // nothing evictable at all
                     }
-                    for (pid, pages) in groups {
-                        freed += self.evict_recorded(kern, pid, &pages, &mut writes)?;
+                    for run in lru.chunk_by(|a, b| a.0 == b.0) {
+                        victims.clear();
+                        victims.extend(run.iter().map(|&(_, page)| page));
+                        freed += self.evict_recorded(kern, run[0].0, &victims, writes)?;
                     }
                 }
+                self.scratch.lru = lru;
             }
         }
+        victims.clear();
+        self.scratch.victims = victims;
         self.stats.reclaimed_pages += freed as u64;
         self.obs.emit(now, || ObsEvent::Reclaim {
             target: target as u64,
             freed: freed as u64,
-            write_pages: writes.iter().map(|e| e.len).sum(),
+            write_pages: writes[first_write..].iter().map(|e| e.len).sum(),
         });
-        Ok(writes)
+        Ok(())
     }
 
-    /// Evict `pages` of `pid`, recording them for adaptive page-in when
-    /// appropriate and counting false evictions. Returns how many frames
-    /// were actually freed.
+    /// Evict `pages` of `pid`, appending the write extents to `writes`,
+    /// recording the pages for adaptive page-in when appropriate and
+    /// counting false evictions. Returns how many frames were actually
+    /// freed.
     fn evict_recorded(
         &mut self,
         kern: &mut Kernel,
@@ -512,9 +541,9 @@ impl PagingEngine {
         pages: &[PageNum],
         writes: &mut Vec<Extent>,
     ) -> Result<usize, MemError> {
-        let mut log = Vec::new();
-        let ext = kern.evict_batch(pid, pages, &mut log)?;
-        writes.extend(ext);
+        let mut log = std::mem::take(&mut self.scratch.log);
+        log.clear();
+        kern.evict_batch(pid, pages, &mut log, writes)?;
         let false_eviction = Some(pid) == self.running;
         let recorded = !false_eviction && self.cfg.adaptive_in;
         if false_eviction {
@@ -534,7 +563,9 @@ impl PagingEngine {
                 });
             }
         }
-        Ok(log.len())
+        let n = log.len();
+        self.scratch.log = log;
+        Ok(n)
     }
 
     // ------------------------------------------------------------------
@@ -642,7 +673,7 @@ impl PagingEngine {
         let want_free = (needed + kern.params().freepages_high).min(kern.params().usable_frames());
         let shortfall = want_free.saturating_sub(kern.free_frames());
         if shortfall > 0 {
-            plan.writes = self.free_pages_inner(kern, shortfall, now, true)?;
+            self.free_pages_inner(kern, shortfall, now, true, &mut plan.writes)?;
         }
         let mut blocks = Vec::new();
         for p in pages {
@@ -810,9 +841,9 @@ mod tests {
         // A's pages are old and unreferenced (bits cleared by an earlier
         // sweep).
         fill_dirty(&mut k, a, 150, 0);
-        let _ = k.clock_sweep_proc(a, 200, 0); // clear ref bits only
-                                               // Give A one more sweep so bits are all cleared.
-        let _ = k.clock_sweep_proc(a, 200, 0);
+        // Clear the reference bits only, twice so every bit is cleared.
+        k.clock_sweep_proc(a, 200, 0, &mut Vec::new()).unwrap();
+        k.clock_sweep_proc(a, 200, 0, &mut Vec::new()).unwrap();
         // B fills the rest: 150 + 98 leaves free = 8... make it dip below min.
         fill_dirty(&mut k, b, 99, 1_000_000); // free = 256-249 = 7 < 8
         let mut e = PagingEngine::new(PolicyConfig::original());
@@ -835,8 +866,8 @@ mod tests {
         k.register_proc(a, 200);
         k.register_proc(b, 100);
         fill_dirty(&mut k, a, 150, 0);
-        let _ = k.clock_sweep_proc(a, 200, 0);
-        let _ = k.clock_sweep_proc(a, 200, 0);
+        k.clock_sweep_proc(a, 200, 0, &mut Vec::new()).unwrap();
+        k.clock_sweep_proc(a, 200, 0, &mut Vec::new()).unwrap();
         fill_dirty(&mut k, b, 99, 1_000_000);
         let mut e = PagingEngine::new(PolicyConfig::so());
         e.adaptive_page_out(&mut k, b, a, None).unwrap(); // sets ctx: out=b, running=a
@@ -879,7 +910,8 @@ mod tests {
         k.quantum_started(b).unwrap();
         fill_dirty(&mut k, b, 100, 0);
         let pages: Vec<PageNum> = (0..100).map(PageNum).collect();
-        k.evict_batch(b, &pages, &mut Vec::new()).unwrap();
+        k.evict_batch(b, &pages, &mut Vec::new(), &mut Vec::new())
+            .unwrap();
         k.quantum_started(b).unwrap(); // closes epoch: wss_last = 100
                                        // a now owns most of memory.
         fill_dirty(&mut k, a, 240, 1_000);
@@ -1019,7 +1051,8 @@ mod tests {
         k.register_proc(a, 64);
         fill_dirty(&mut k, a, 64, 0);
         let pages: Vec<PageNum> = (0..64).map(PageNum).collect();
-        k.evict_batch(a, &pages, &mut Vec::new()).unwrap();
+        k.evict_batch(a, &pages, &mut Vec::new(), &mut Vec::new())
+            .unwrap();
         let mut e = PagingEngine::new(PolicyConfig::original());
         e.set_running(Some(a));
         let plan = e.on_fault(&mut k, a, PageNum(0), NOW).unwrap();

@@ -70,18 +70,20 @@ impl DiskParams {
     }
 }
 
-/// A single paging request: a set of extents to read or write.
-#[derive(Clone, Debug)]
-pub struct DiskRequest {
+/// A single paging request: a set of extents to read or write. It
+/// borrows the extent list, so the caller's plan buffer is handed to the
+/// device without a copy.
+#[derive(Clone, Copy, Debug)]
+pub struct DiskRequest<'a> {
     /// Transfer direction.
     pub kind: IoKind,
     /// Extents to transfer, serviced in slice order.
-    pub extents: Vec<Extent>,
+    pub extents: &'a [Extent],
 }
 
-impl DiskRequest {
+impl<'a> DiskRequest<'a> {
     /// A read covering `extents`.
-    pub fn read(extents: Vec<Extent>) -> Self {
+    pub fn read(extents: &'a [Extent]) -> Self {
         DiskRequest {
             kind: IoKind::Read,
             extents,
@@ -89,7 +91,7 @@ impl DiskRequest {
     }
 
     /// A write covering `extents`.
-    pub fn write(extents: Vec<Extent>) -> Self {
+    pub fn write(extents: &'a [Extent]) -> Self {
         DiskRequest {
             kind: IoKind::Write,
             extents,
@@ -98,7 +100,7 @@ impl DiskRequest {
 
     /// Total pages moved by this request.
     pub fn pages(&self) -> u64 {
-        total_blocks(&self.extents)
+        total_blocks(self.extents)
     }
 
     /// Whether the request moves no data.
@@ -224,7 +226,7 @@ impl Disk {
         if req.is_empty() {
             return SimDur::ZERO;
         }
-        let (svc, _, _, _) = self.service(self.head, &req.extents);
+        let (svc, _, _, _) = self.service(self.head, req.extents);
         svc + SimDur::from_us(self.params.command_overhead_us)
     }
 
@@ -239,7 +241,7 @@ impl Disk {
         if req.is_empty() {
             return start;
         }
-        let (svc, final_head, seeks, seek_us) = self.service(self.head, &req.extents);
+        let (svc, final_head, seeks, seek_us) = self.service(self.head, req.extents);
         let svc = svc + SimDur::from_us(self.params.command_overhead_us);
         let completion = start + svc;
 
@@ -345,12 +347,13 @@ mod tests {
         // scattered read must pay ~64 seeks and be far slower. This is the
         // entire premise of block paging.
         let mut d1 = disk();
-        let contiguous = DiskRequest::read(vec![Extent::new(1000, 64)]);
+        let extents = [Extent::new(1000, 64)];
+        let contiguous = DiskRequest::read(&extents);
         let t1 = d1.submit(SimTime::ZERO, &contiguous);
 
         let mut d2 = disk();
-        let scattered =
-            DiskRequest::read((0..64).map(|i| Extent::new(1000 + i * 5000, 1)).collect());
+        let extents: Vec<Extent> = (0..64).map(|i| Extent::new(1000 + i * 5000, 1)).collect();
+        let scattered = DiskRequest::read(&extents);
         let t2 = d2.submit(SimTime::ZERO, &scattered);
         assert!(
             t2.as_us() > 10 * t1.as_us(),
@@ -361,9 +364,10 @@ mod tests {
     #[test]
     fn fifo_queueing_accumulates() {
         let mut d = disk();
-        let r = DiskRequest::read(vec![Extent::new(0, 16)]);
+        let extents = [Extent::new(0, 16)];
+        let r = DiskRequest::read(&extents);
         let c1 = d.submit(SimTime::ZERO, &r);
-        let c2 = d.submit(SimTime::ZERO, &DiskRequest::read(vec![Extent::new(16, 16)]));
+        let c2 = d.submit(SimTime::ZERO, &DiskRequest::read(&[Extent::new(16, 16)]));
         assert!(c2 > c1, "second request queues behind the first");
         // Second request is sequential after the first: no seek.
         assert_eq!(
@@ -376,17 +380,17 @@ mod tests {
     #[test]
     fn sequential_requests_pay_no_seek() {
         let mut d = disk();
-        d.submit(SimTime::ZERO, &DiskRequest::write(vec![Extent::new(0, 8)]));
+        d.submit(SimTime::ZERO, &DiskRequest::write(&[Extent::new(0, 8)]));
         let before = d.stats().seeks;
-        d.submit(SimTime::ZERO, &DiskRequest::write(vec![Extent::new(8, 8)]));
+        d.submit(SimTime::ZERO, &DiskRequest::write(&[Extent::new(8, 8)]));
         assert_eq!(d.stats().seeks, before);
     }
 
     #[test]
     fn empty_request_completes_at_queue_drain() {
         let mut d = disk();
-        let c1 = d.submit(SimTime::ZERO, &DiskRequest::read(vec![Extent::new(0, 100)]));
-        let c2 = d.submit(SimTime::ZERO, &DiskRequest::read(vec![]));
+        let c1 = d.submit(SimTime::ZERO, &DiskRequest::read(&[Extent::new(0, 100)]));
+        let c2 = d.submit(SimTime::ZERO, &DiskRequest::read(&[]));
         assert_eq!(c2, c1);
         assert_eq!(d.stats().read_requests, 1, "empty request not counted");
     }
@@ -394,7 +398,7 @@ mod tests {
     #[test]
     fn idle_after_drain() {
         let mut d = disk();
-        let c = d.submit(SimTime::ZERO, &DiskRequest::read(vec![Extent::new(0, 4)]));
+        let c = d.submit(SimTime::ZERO, &DiskRequest::read(&[Extent::new(0, 4)]));
         assert!(!d.is_idle(SimTime::ZERO));
         assert!(d.is_idle(c));
     }
@@ -402,8 +406,8 @@ mod tests {
     #[test]
     fn stats_track_pages_and_direction() {
         let mut d = disk();
-        d.submit(SimTime::ZERO, &DiskRequest::read(vec![Extent::new(0, 10)]));
-        d.submit(SimTime::ZERO, &DiskRequest::write(vec![Extent::new(50, 7)]));
+        d.submit(SimTime::ZERO, &DiskRequest::read(&[Extent::new(0, 10)]));
+        d.submit(SimTime::ZERO, &DiskRequest::write(&[Extent::new(50, 7)]));
         assert_eq!(d.stats().pages_read, 10);
         assert_eq!(d.stats().pages_written, 7);
         assert_eq!(d.stats().read_requests, 1);
@@ -413,7 +417,8 @@ mod tests {
     #[test]
     fn quote_matches_submit_service_time() {
         let mut d = disk();
-        let r = DiskRequest::read(vec![Extent::new(123, 32), Extent::new(9000, 8)]);
+        let extents = [Extent::new(123, 32), Extent::new(9000, 8)];
+        let r = DiskRequest::read(&extents);
         let q = d.quote(&r);
         let c = d.submit(SimTime::ZERO, &r);
         assert_eq!(c.since(SimTime::ZERO), q);
@@ -422,7 +427,8 @@ mod tests {
     #[test]
     fn failed_request_counts_as_error_not_completion() {
         let mut d = disk();
-        let r = DiskRequest::write(vec![Extent::new(0, 40)]);
+        let extents = [Extent::new(0, 40)];
+        let r = DiskRequest::write(&extents);
         let c = d.submit_failing(SimTime::ZERO, &r);
         // Only command overhead is burned; the head never moved.
         assert_eq!(
@@ -450,7 +456,8 @@ mod tests {
     fn slowed_request_pays_the_penalty_once() {
         let mut slow = disk();
         let mut base = disk();
-        let r = DiskRequest::read(vec![Extent::new(100, 16)]);
+        let extents = [Extent::new(100, 16)];
+        let r = DiskRequest::read(&extents);
         let c_base = base.submit(SimTime::ZERO, &r);
         let c_slow = slow.submit_slowed(SimTime::ZERO, &r, 7_000);
         assert_eq!(c_slow.since(c_base), SimDur::from_us(7_000));
@@ -470,7 +477,7 @@ mod tests {
     fn later_submission_starts_later() {
         let mut d = disk();
         let t0 = SimTime::from_secs(5);
-        let c = d.submit(t0, &DiskRequest::read(vec![Extent::new(0, 1)]));
+        let c = d.submit(t0, &DiskRequest::read(&[Extent::new(0, 1)]));
         assert!(c > t0);
         assert_eq!(d.stats().queued, SimDur::ZERO);
     }

@@ -45,11 +45,11 @@ fn service_monotone_in_pages() {
             let mut d2 = Disk::new(DiskParams::default());
             let t1 = d1.submit(
                 SimTime::ZERO,
-                &DiskRequest::read(vec![Extent::new(start, len)]),
+                &DiskRequest::read(&[Extent::new(start, len)]),
             );
             let t2 = d2.submit(
                 SimTime::ZERO,
-                &DiskRequest::read(vec![Extent::new(start, len + 1)]),
+                &DiskRequest::read(&[Extent::new(start, len + 1)]),
             );
             assert!(t2 >= t1);
         },
@@ -65,15 +65,15 @@ fn contiguous_is_fastest() {
         |rng| (rng.below(100_000), rng.range(2, 256), rng.range(1, 5_000)),
         |&(start, len, scatter_gap)| {
             let mut d1 = Disk::new(DiskParams::default());
-            let contiguous = DiskRequest::read(vec![Extent::new(start, len)]);
+            let whole = [Extent::new(start, len)];
+            let contiguous = DiskRequest::read(&whole);
             let t1 = d1.submit(SimTime::ZERO, &contiguous);
 
             let mut d2 = Disk::new(DiskParams::default());
-            let scattered = DiskRequest::read(
-                (0..len)
-                    .map(|i| Extent::new(start + i * (scatter_gap + 1), 1))
-                    .collect(),
-            );
+            let extents: Vec<Extent> = (0..len)
+                .map(|i| Extent::new(start + i * (scatter_gap + 1), 1))
+                .collect();
+            let scattered = DiskRequest::read(&extents);
             let t2 = d2.submit(SimTime::ZERO, &scattered);
             assert!(t2 >= t1, "scattered {t2:?} vs contiguous {t1:?}");
         },
@@ -92,7 +92,7 @@ fn fifo_completions_monotone() {
             let mut last = SimTime::ZERO;
             for (i, &(start, len)) in reqs.iter().enumerate() {
                 let now = SimTime::from_us(i as u64 * 100);
-                let c = d.submit(now, &DiskRequest::write(vec![Extent::new(start, len)]));
+                let c = d.submit(now, &DiskRequest::write(&[Extent::new(start, len)]));
                 assert!(c >= now);
                 assert!(c >= last);
                 last = c;

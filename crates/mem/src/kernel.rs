@@ -2,10 +2,10 @@
 //! the mechanism API that paging *policies* (in `agp-core`) are written
 //! against.
 
-use crate::ptable::{PageState, PageTable, Resident};
+use crate::ptable::{PageState, PageTable};
 use crate::swap::SwapSpace;
 use crate::types::{MemError, PageNum, ProcId, VmParams};
-use agp_disk::{extents_from_blocks, Extent};
+use agp_disk::Extent;
 use agp_obs::{ObsEvent, ObsLink};
 use agp_sim::SimTime;
 use std::collections::BTreeMap;
@@ -158,8 +158,11 @@ pub struct Kernel {
     /// pages and clean resident pages' `swap_copy`. Used by read-ahead to
     /// chase swap-contiguous neighbors.
     swap_owner: OwnerTable,
-    /// Reused buffer for the swap copies a write run makes stale.
+    /// Reused buffer for swap blocks being released: the copies a write
+    /// run makes stale, or an exiting process's blocks.
     stale: Vec<u64>,
+    /// Reused buffer for the fresh swap extents of one batch.
+    fresh: Vec<Extent>,
     obs: ObsLink,
 }
 
@@ -175,6 +178,7 @@ impl Kernel {
             procs: BTreeMap::new(),
             swap_owner: OwnerTable::default(),
             stale: Vec::new(),
+            fresh: Vec::new(),
             obs: ObsLink::disabled(),
         }
     }
@@ -226,10 +230,10 @@ impl Kernel {
     pub fn unregister_proc(&mut self, pid: ProcId) -> Result<(), MemError> {
         let pm = self.procs.remove(&pid).ok_or(MemError::NoSuchProc(pid))?;
         self.free += pm.pt.resident();
-        let mut blocks: Vec<u64> = (0..pm.pt.len())
-            .filter_map(|i| pm.pt.swap_block(PageNum(i as u32)))
-            .collect();
+        let mut blocks = std::mem::take(&mut self.stale);
+        blocks.extend((0..pm.pt.len()).filter_map(|i| pm.pt.swap_block(PageNum(i as u32))));
         self.free_swap_blocks(&mut blocks);
+        self.stale = blocks;
         Ok(())
     }
 
@@ -329,15 +333,22 @@ impl Kernel {
 
     /// Release swap blocks that no longer hold a valid page image: drop
     /// their owners and return them to the allocator as coalesced
-    /// extents. Leaves `blocks` empty.
+    /// extents, sorting `blocks` in place. Leaves `blocks` empty.
     fn free_swap_blocks(&mut self, blocks: &mut Vec<u64>) {
-        if blocks.is_empty() {
-            return;
-        }
+        blocks.sort_unstable();
+        let mut run: Option<Extent> = None;
         for &b in blocks.iter() {
             self.swap_owner.remove(b);
+            match &mut run {
+                Some(e) if e.end() == b => e.len += 1,
+                _ => {
+                    if let Some(e) = run.replace(Extent::new(b, 1)) {
+                        self.swap.free_extent(e);
+                    }
+                }
+            }
         }
-        for e in extents_from_blocks(blocks) {
+        if let Some(e) = run {
             self.swap.free_extent(e);
         }
         blocks.clear();
@@ -362,42 +373,55 @@ impl Kernel {
         if p.idx() >= pm.pt.len() {
             return Err(MemError::BadPage(pid, p));
         }
-        let epoch = pm.epoch;
-        let outcome = match pm.pt.state(p) {
-            PageState::Resident(_) => {
-                debug_assert!(false, "map_in of already-resident page {pid}/{p:?}");
-                return Ok(MapInOutcome::Zeroed);
-            }
-            PageState::Swapped { block } => {
-                pm.pt.set(
-                    p,
-                    PageState::Resident(Resident {
-                        referenced: true,
-                        dirty: false,
-                        last_ref: now,
-                        swap_copy: Some(block),
-                        epoch,
-                    }),
-                );
-                MapInOutcome::Read { block }
-            }
-            PageState::Untouched => {
-                pm.pt.set(
-                    p,
-                    PageState::Resident(Resident {
-                        referenced: true,
-                        dirty: false,
-                        last_ref: now,
-                        swap_copy: None,
-                        epoch,
-                    }),
-                );
-                MapInOutcome::Zeroed
-            }
+        if pm.pt.is_resident(p) {
+            debug_assert!(false, "map_in of already-resident page {pid}/{p:?}");
+            return Ok(MapInOutcome::Zeroed);
+        }
+        let outcome = match pm.pt.swap_block(p) {
+            Some(block) => MapInOutcome::Read { block },
+            None => MapInOutcome::Zeroed,
         };
+        pm.pt.map_in(p, now, pm.epoch);
         pm.wss_current += 1;
         self.free -= 1;
         Ok(outcome)
+    }
+
+    /// Swap read-ahead after a major fault on `block`: map in the pages of
+    /// `pid` stored at `block+1, block+2, …` while they are swapped out,
+    /// up to `limit` pages, calling `each` on every page mapped. Returns
+    /// how many were mapped; together with the faulted page they form
+    /// the one read extent `[block, block + 1 + n)`.
+    ///
+    /// The chain stops at the first block that is unowned, owned by
+    /// another process, or a copy of a page already resident. Each page
+    /// is mapped as [`Kernel::map_in`] would, with one process lookup for
+    /// the whole chain.
+    pub fn map_in_chain(
+        &mut self,
+        pid: ProcId,
+        block: u64,
+        limit: usize,
+        now: SimTime,
+        mut each: impl FnMut(PageNum),
+    ) -> Result<usize, MemError> {
+        let pm = self.procs.get_mut(&pid).ok_or(MemError::NoSuchProc(pid))?;
+        let mut n = 0;
+        while n < limit {
+            let page = match self.swap_owner.get(block + 1 + n as u64) {
+                Some((owner, page)) if owner == pid && !pm.pt.is_resident(page) => page,
+                _ => break,
+            };
+            if self.free == 0 {
+                return Err(MemError::OutOfFrames);
+            }
+            pm.pt.map_in(page, now, pm.epoch);
+            pm.wss_current += 1;
+            self.free -= 1;
+            n += 1;
+            each(page);
+        }
+        Ok(n)
     }
 
     // ------------------------------------------------------------------
@@ -411,19 +435,26 @@ impl Kernel {
     ///   reproducible), no I/O;
     /// * dirty → allocates a swap block and writes (a dirty page never
     ///   holds a swap copy; writes free the stale copy eagerly).
+    ///
+    /// A one-page [`Kernel::evict_batch`].
     pub fn evict(&mut self, pid: ProcId, p: PageNum) -> Result<EvictOutcome, MemError> {
-        let outcomes = self.evict_prepared(pid, &[p], &mut Vec::new())?;
-        outcomes
-            .into_iter()
-            .next()
-            .ok_or(MemError::NotResident(pid, p))
+        let (mut log, mut writes) = (Vec::new(), Vec::new());
+        self.evict_batch(pid, &[p], &mut log, &mut writes)?;
+        if log.is_empty() {
+            return Err(MemError::NotResident(pid, p));
+        }
+        Ok(match writes.first() {
+            Some(e) => EvictOutcome::Write { block: e.start },
+            None => EvictOutcome::Dropped,
+        })
     }
 
     /// Evict a batch of pages of one process, allocating swap for all
-    /// dirty-without-copy pages **contiguously** (this is what gives block
-    /// page-out its sequential layout). Returns the coalesced write
-    /// extents; appends the evicted pages to `evicted_log` in eviction
-    /// order (consumed by the adaptive page-in recorder).
+    /// dirty pages **contiguously** (this is what gives block page-out
+    /// its sequential layout). Appends the evicted pages to
+    /// `evicted_log` in eviction order (consumed by the adaptive page-in
+    /// recorder) and the write extents to `writes`, coalescing blocks of
+    /// this batch only: an extent already in `writes` is never extended.
     ///
     /// Pages in the list that are not resident are skipped (candidate
     /// lists can go stale between selection and eviction).
@@ -432,82 +463,56 @@ impl Kernel {
         pid: ProcId,
         pages: &[PageNum],
         evicted_log: &mut Vec<PageNum>,
-    ) -> Result<Vec<Extent>, MemError> {
-        let outcomes = self.evict_prepared(pid, pages, evicted_log)?;
-        let mut blocks: Vec<u64> = outcomes
-            .iter()
-            .filter_map(|o| match o {
-                EvictOutcome::Write { block } => Some(*block),
-                EvictOutcome::Dropped => None,
-            })
-            .collect();
-        if !outcomes.is_empty() {
-            self.obs.emit_clock(|| ObsEvent::EvictBatch {
-                pid: pid.0,
-                pages: outcomes.len() as u32,
-                write_pages: blocks.len() as u32,
-            });
-        }
-        Ok(extents_from_blocks(&mut blocks))
-    }
-
-    fn evict_prepared(
-        &mut self,
-        pid: ProcId,
-        pages: &[PageNum],
-        evicted_log: &mut Vec<PageNum>,
-    ) -> Result<Vec<EvictOutcome>, MemError> {
-        // Pass 1: count dirty pages that need fresh swap blocks.
-        {
-            let pm = self.proc(pid)?;
-            for &p in pages {
-                if p.idx() >= pm.pt.len() {
-                    return Err(MemError::BadPage(pid, p));
-                }
-            }
-        }
-        let pm = self.procs.get(&pid).ok_or(MemError::NoSuchProc(pid))?;
-        let need_fresh: u64 = pages.iter().filter(|&&p| pm.pt.is_dirty(p)).count() as u64;
-        let fresh = self.swap.alloc(need_fresh)?;
+        writes: &mut Vec<Extent>,
+    ) -> Result<(), MemError> {
+        let pm = self.procs.get_mut(&pid).ok_or(MemError::NoSuchProc(pid))?;
+        let mut fresh = std::mem::take(&mut self.fresh);
+        fresh.clear();
+        alloc_for_dirty(&mut self.swap, &pm.pt, pid, pages, &mut fresh)?;
         let mut fresh_blocks = fresh.iter().flat_map(|e| e.start..e.end());
-
-        let mut outcomes = Vec::with_capacity(pages.len());
+        let first_write = writes.len();
+        let mut evicted = 0u32;
+        let mut written = 0u32;
         for &p in pages {
-            let pm = self.procs.get_mut(&pid).ok_or(MemError::NoSuchProc(pid))?;
-            let PageState::Resident(r) = pm.pt.state(p) else {
+            if !pm.pt.is_resident(p) {
                 continue; // stale candidate; skip
-            };
-            let outcome = if r.dirty {
-                debug_assert!(r.swap_copy.is_none(), "dirty page holds a swap copy");
-                // Pass 1 counted the dirty pages and alloc() returned exactly that
-                // many blocks; nothing mutates the page tables in between.
-                // agp-lint: allow(panic-site): pass-1 count matches allocation
+            }
+            if pm.pt.is_dirty(p) {
+                debug_assert!(
+                    pm.pt.swap_block(p).is_none(),
+                    "dirty page holds a swap copy"
+                );
+                // alloc_for_dirty counted the dirty pages and allocated exactly
+                // that many blocks; nothing mutates the page table in between.
+                // agp-lint: allow(panic-site): dirty count matches allocation
                 let block = fresh_blocks.next().expect("allocated exactly enough");
                 pm.pt.set(p, PageState::Swapped { block });
                 self.swap_owner.insert(block, pid, p);
-                EvictOutcome::Write { block }
+                push_block(writes, first_write, block);
+                written += 1;
             } else {
-                match r.swap_copy {
+                match pm.pt.swap_block(p) {
                     Some(b) => {
                         pm.pt.set(p, PageState::Swapped { block: b });
                         debug_assert_eq!(self.swap_owner.get(b), Some((pid, p)));
-                        EvictOutcome::Dropped
                     }
-                    None => {
-                        pm.pt.set(p, PageState::Untouched);
-                        EvictOutcome::Dropped
-                    }
+                    None => pm.pt.set(p, PageState::Untouched),
                 }
-            };
+            }
             self.free += 1;
+            evicted += 1;
             evicted_log.push(p);
-            outcomes.push(outcome);
         }
-        // Return any unused fresh blocks (stale candidates were skipped).
-        for b in fresh_blocks {
-            self.swap.free_block(b);
+        free_unused(&mut self.swap, &fresh, u64::from(written));
+        self.fresh = fresh;
+        if evicted > 0 {
+            self.obs.emit_clock(|| ObsEvent::EvictBatch {
+                pid: pid.0,
+                pages: evicted,
+                write_pages: written,
+            });
         }
-        Ok(outcomes)
+        Ok(())
     }
 
     /// Write a dirty resident page to swap *without* evicting it: the page
@@ -516,59 +521,56 @@ impl Kernel {
     /// copy-less pages is allocated contiguously; returns coalesced write
     /// extents. Non-dirty / non-resident pages are skipped.
     pub fn clean_batch(&mut self, pid: ProcId, pages: &[PageNum]) -> Result<Vec<Extent>, MemError> {
-        {
-            let pm = self.proc(pid)?;
-            for &p in pages {
-                if p.idx() >= pm.pt.len() {
-                    return Err(MemError::BadPage(pid, p));
-                }
-            }
-        }
-        let pm = self.procs.get(&pid).ok_or(MemError::NoSuchProc(pid))?;
-        let need_fresh: u64 = pages.iter().filter(|&&p| pm.pt.is_dirty(p)).count() as u64;
-        let fresh = self.swap.alloc(need_fresh)?;
+        let pm = self.procs.get_mut(&pid).ok_or(MemError::NoSuchProc(pid))?;
+        let mut fresh = std::mem::take(&mut self.fresh);
+        fresh.clear();
+        alloc_for_dirty(&mut self.swap, &pm.pt, pid, pages, &mut fresh)?;
         let mut fresh_blocks = fresh.iter().flat_map(|e| e.start..e.end());
-
-        let mut blocks = Vec::new();
+        let mut writes = Vec::new();
+        let mut written = 0;
         for &p in pages {
-            let pm = self.procs.get_mut(&pid).ok_or(MemError::NoSuchProc(pid))?;
-            let PageState::Resident(r) = pm.pt.state(p) else {
-                continue;
-            };
-            if !r.dirty {
+            if !pm.pt.is_dirty(p) {
                 continue;
             }
-            debug_assert!(r.swap_copy.is_none(), "dirty page holds a swap copy");
-            // Pass 1 counted the dirty pages and alloc() returned exactly that
-            // many blocks; nothing mutates the page tables in between.
-            // agp-lint: allow(panic-site): pass-1 count matches allocation
+            debug_assert!(
+                pm.pt.swap_block(p).is_none(),
+                "dirty page holds a swap copy"
+            );
+            // alloc_for_dirty counted the dirty pages and allocated exactly
+            // that many blocks; nothing mutates the page table in between.
+            // agp-lint: allow(panic-site): dirty count matches allocation
             let block = fresh_blocks.next().expect("allocated exactly enough");
             pm.pt.update_resident(p, |r| {
                 r.dirty = false;
                 r.swap_copy = Some(block);
             });
             self.swap_owner.insert(block, pid, p);
-            blocks.push(block);
+            push_block(&mut writes, 0, block);
+            written += 1;
         }
-        for b in fresh_blocks {
-            self.swap.free_block(b);
-        }
-        Ok(extents_from_blocks(&mut blocks))
+        free_unused(&mut self.swap, &fresh, written);
+        self.fresh = fresh;
+        Ok(writes)
     }
 
     // ------------------------------------------------------------------
     // Scan helpers for policies
     // ------------------------------------------------------------------
 
-    /// Clock-sweep `pid`'s page table (clearing reference bits, collecting
-    /// unreferenced resident pages). See [`PageTable::clock_sweep`].
+    /// Clock-sweep `pid`'s page table (clearing reference bits, appending
+    /// unreferenced resident pages to `victims`). See
+    /// [`PageTable::clock_sweep`].
     pub fn clock_sweep_proc(
         &mut self,
         pid: ProcId,
         max_scan: usize,
         max_victims: usize,
-    ) -> Result<Vec<PageNum>, MemError> {
-        Ok(self.proc_mut(pid)?.pt.clock_sweep(max_scan, max_victims))
+        victims: &mut Vec<PageNum>,
+    ) -> Result<(), MemError> {
+        self.proc_mut(pid)?
+            .pt
+            .clock_sweep(max_scan, max_victims, victims);
+        Ok(())
     }
 
     /// `pid`'s `limit` oldest resident pages, oldest first
@@ -613,33 +615,6 @@ impl Kernel {
             scanned += 1;
         }
         Ok((out, hand))
-    }
-
-    /// Follow the swap-block chain after `block`: pages (of the same
-    /// process) stored at `block+1, block+2, …` that are currently swapped
-    /// out, up to `limit` entries. This is the read-ahead neighbor lookup.
-    pub fn swap_chain_after(&self, pid: ProcId, block: u64, limit: usize) -> Vec<(PageNum, u64)> {
-        let mut out = Vec::new();
-        let Some(pm) = self.procs.get(&pid) else {
-            return out;
-        };
-        let mut b = block + 1;
-        while out.len() < limit {
-            match self.swap_owner.get(b) {
-                Some((owner, page)) if owner == pid => {
-                    // Only chase pages that actually need reading (swapped
-                    // out); resident swap copies are already in memory.
-                    if !pm.pt.is_resident(page) {
-                        out.push((page, b));
-                    } else {
-                        break;
-                    }
-                }
-                _ => break,
-            }
-            b += 1;
-        }
-        out
     }
 
     // ------------------------------------------------------------------
@@ -769,6 +744,46 @@ impl Kernel {
     }
 }
 
+/// Check `pages` against `pt`'s bounds and allocate one fresh swap block
+/// per dirty page, appending the extents to `fresh`.
+fn alloc_for_dirty(
+    swap: &mut SwapSpace,
+    pt: &PageTable,
+    pid: ProcId,
+    pages: &[PageNum],
+    fresh: &mut Vec<Extent>,
+) -> Result<(), MemError> {
+    let mut dirty = 0u64;
+    for &p in pages {
+        if p.idx() >= pt.len() {
+            return Err(MemError::BadPage(pid, p));
+        }
+        dirty += u64::from(pt.is_dirty(p));
+    }
+    swap.alloc(dirty, fresh)
+}
+
+/// Return the blocks of `fresh` past the first `used` to the allocator
+/// (stale or repeated candidates leave some unused).
+fn free_unused(swap: &mut SwapSpace, fresh: &[Extent], mut used: u64) {
+    for e in fresh {
+        let taken = used.min(e.len);
+        used -= taken;
+        if taken < e.len {
+            swap.free_extent(Extent::new(e.start + taken, e.len - taken));
+        }
+    }
+}
+
+/// Append ascending `block` to `writes`, extending the last extent if it
+/// ends at `block` and was pushed at or after index `first`.
+fn push_block(writes: &mut Vec<Extent>, first: usize, block: u64) {
+    match writes[first..].last_mut() {
+        Some(e) if e.end() == block => e.len += 1,
+        _ => writes.push(Extent::new(block, 1)),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -882,21 +897,29 @@ mod tests {
             k.map_in(ProcId(1), PageNum(p), T).unwrap();
             k.touch(ProcId(1), PageNum(p), true, T).unwrap();
         }
-        let mut log = Vec::new();
-        let ext = k
-            .evict_batch(ProcId(1), &[PageNum(0), PageNum(1)], &mut log)
+        let (mut log, mut ext) = (Vec::new(), Vec::new());
+        k.evict_batch(ProcId(1), &[PageNum(0), PageNum(1)], &mut log, &mut ext)
             .unwrap();
         assert_eq!(ext.len(), 1, "batch eviction is contiguous");
         let b0 = ext[0].start;
-        // Chain from block b0 finds page 1 at b0+1.
+        // Faulting page 0 (block b0) reads page 1 ahead from b0+1.
+        let mut ahead = k.clone();
         assert_eq!(
-            k.swap_chain_after(ProcId(1), b0, 16),
-            vec![(PageNum(1), b0 + 1)]
+            ahead.map_in(ProcId(1), PageNum(0), T).unwrap(),
+            MapInOutcome::Read { block: b0 }
         );
+        let mut chained = Vec::new();
+        let n = ahead
+            .map_in_chain(ProcId(1), b0, 16, T, |p| chained.push(p))
+            .unwrap();
+        assert_eq!((n, chained), (1, vec![PageNum(1)]));
+        assert!(ahead.proc(ProcId(1)).unwrap().pt.is_resident(PageNum(1)));
+        ahead.check_invariants().unwrap();
         // Fault page 1 back in and dirty it: its copy is stale, chain is cut.
         k.map_in(ProcId(1), PageNum(1), T).unwrap();
         k.touch(ProcId(1), PageNum(1), true, T).unwrap();
-        assert!(k.swap_chain_after(ProcId(1), b0, 16).is_empty());
+        k.map_in(ProcId(1), PageNum(0), T).unwrap();
+        assert_eq!(k.map_in_chain(ProcId(1), b0, 16, T, |_| {}).unwrap(), 0);
         k.check_invariants().unwrap();
     }
 
@@ -909,8 +932,9 @@ mod tests {
             k.touch(ProcId(1), PageNum(p), true, T).unwrap();
         }
         let pages: Vec<PageNum> = (0..100).map(PageNum).collect();
-        let mut log = Vec::new();
-        let ext = k.evict_batch(ProcId(1), &pages, &mut log).unwrap();
+        let (mut log, mut ext) = (Vec::new(), Vec::new());
+        k.evict_batch(ProcId(1), &pages, &mut log, &mut ext)
+            .unwrap();
         assert_eq!(ext.len(), 1, "fresh swap, one extent");
         assert_eq!(ext[0].len, 100);
         assert_eq!(log.len(), 100);
@@ -923,10 +947,9 @@ mod tests {
         let mut k = kernel(64);
         k.register_proc(ProcId(1), 4);
         k.map_in(ProcId(1), PageNum(0), T).unwrap();
-        let mut log = Vec::new();
+        let (mut log, mut ext) = (Vec::new(), Vec::new());
         // Page 1 was never resident; batch must skip it gracefully.
-        let ext = k
-            .evict_batch(ProcId(1), &[PageNum(0), PageNum(1)], &mut log)
+        k.evict_batch(ProcId(1), &[PageNum(0), PageNum(1)], &mut log, &mut ext)
             .unwrap();
         assert!(ext.is_empty(), "clean page: no writes");
         assert_eq!(log, vec![PageNum(0)]);
@@ -958,7 +981,8 @@ mod tests {
         assert_eq!(k.reclaim_target(), 5);
         // Reclaim to high.
         let pages: Vec<PageNum> = (0..5).map(PageNum).collect();
-        k.evict_batch(ProcId(1), &pages, &mut Vec::new()).unwrap();
+        k.evict_batch(ProcId(1), &pages, &mut Vec::new(), &mut Vec::new())
+            .unwrap();
         assert!(!k.below_min());
         assert_eq!(k.reclaim_target(), 0);
     }
@@ -1021,7 +1045,8 @@ mod tests {
             k.touch(ProcId(1), PageNum(p), true, T).unwrap();
         }
         let pages: Vec<PageNum> = (0..4).map(PageNum).collect();
-        k.evict_batch(ProcId(1), &pages, &mut Vec::new()).unwrap();
+        k.evict_batch(ProcId(1), &pages, &mut Vec::new(), &mut Vec::new())
+            .unwrap();
         assert!(k.swap().used_blocks() > 0);
         k.unregister_proc(ProcId(1)).unwrap();
         assert_eq!(k.free_frames(), 64);
@@ -1045,7 +1070,9 @@ mod tests {
         assert_eq!(pm.rss(), 8, "pages stay resident");
         assert_eq!(pm.pt.dirty_resident(), 0, "pages are now clean");
         // Evicting them later costs nothing.
-        let ext2 = k.evict_batch(ProcId(1), &pages, &mut Vec::new()).unwrap();
+        let mut ext2 = Vec::new();
+        k.evict_batch(ProcId(1), &pages, &mut Vec::new(), &mut ext2)
+            .unwrap();
         assert!(ext2.is_empty());
         k.check_invariants().unwrap();
     }
@@ -1119,7 +1146,8 @@ mod tests {
             k.touch(pid, PageNum(p), true, T).unwrap();
         }
         let pages: Vec<PageNum> = (0..4).map(PageNum).collect();
-        k.evict_batch(pid, &pages, &mut Vec::new()).unwrap();
+        k.evict_batch(pid, &pages, &mut Vec::new(), &mut Vec::new())
+            .unwrap();
         for p in 0..4 {
             k.map_in(pid, PageNum(p), T).unwrap();
         }

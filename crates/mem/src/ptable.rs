@@ -209,6 +209,18 @@ impl PageTable {
         self.set(p, PageState::Resident(r));
     }
 
+    /// Put non-resident page `p` into a frame at `now`, referenced and
+    /// clean, in working-set epoch `epoch`. A `Swapped` page keeps its
+    /// block as the resident swap copy; an `Untouched` one gets none.
+    pub(crate) fn map_in(&mut self, p: PageNum, now: SimTime, epoch: u32) {
+        let i = p.idx();
+        debug_assert_eq!(self.flags[i] & RESIDENT, 0, "map_in of resident page {p:?}");
+        self.flags[i] = RESIDENT | REFERENCED;
+        self.last_ref[i] = now.0;
+        self.epoch[i] = epoch;
+        self.resident += 1;
+    }
+
     /// Touch the resident pages of `pages` in order, stopping at the first
     /// page that is not resident: set the reference bit and `last_ref`,
     /// and on a `write` set the dirty bit and drop the (now stale) swap
@@ -296,16 +308,17 @@ impl PageTable {
 
     /// Clock sweep from the stored hand position: visit up to `max_scan`
     /// pages; referenced resident pages get their bit cleared, and
-    /// unreferenced resident pages are collected as eviction candidates
-    /// (up to `max_victims`). The hand advances past every visited page.
-    pub fn clock_sweep(&mut self, max_scan: usize, max_victims: usize) -> Vec<PageNum> {
+    /// unreferenced resident pages are appended to `victims` as eviction
+    /// candidates (up to `max_victims` of them). The hand advances past
+    /// every visited page.
+    pub fn clock_sweep(&mut self, max_scan: usize, max_victims: usize, victims: &mut Vec<PageNum>) {
         let n = self.flags.len();
         if n == 0 || max_victims == 0 {
-            return Vec::new();
+            return;
         }
-        let mut victims = Vec::new();
+        let cap = victims.len().saturating_add(max_victims);
         let mut scanned = 0;
-        while scanned < max_scan.min(n) && victims.len() < max_victims {
+        while scanned < max_scan.min(n) && victims.len() < cap {
             let i = self.hand;
             self.hand = (self.hand + 1) % n;
             scanned += 1;
@@ -318,7 +331,6 @@ impl PageTable {
                 }
             }
         }
-        victims
     }
 }
 
@@ -402,11 +414,12 @@ mod tests {
             pt.set(PageNum(i), resident(1, false));
         }
         // First sweep clears all reference bits, evicts nothing.
-        let v1 = pt.clock_sweep(3, 3);
-        assert!(v1.is_empty());
+        let mut v = Vec::new();
+        pt.clock_sweep(3, 3, &mut v);
+        assert!(v.is_empty());
         // Second sweep finds all pages unreferenced.
-        let v2 = pt.clock_sweep(3, 3);
-        assert_eq!(v2.len(), 3);
+        pt.clock_sweep(3, 3, &mut v);
+        assert_eq!(v.len(), 3);
     }
 
     #[test]
@@ -419,8 +432,9 @@ mod tests {
             }
             pt.set(PageNum(i), st);
         }
-        let v = pt.clock_sweep(10, 4);
-        assert_eq!(v.len(), 4);
+        let mut v = vec![PageNum(9)];
+        pt.clock_sweep(10, 4, &mut v);
+        assert_eq!(v.len(), 5, "appends at most max_victims");
         // Hand advanced past exactly the scanned pages.
         assert_eq!(pt.hand(), 4);
     }
@@ -434,7 +448,8 @@ mod tests {
             r.referenced = false;
         }
         pt.set(PageNum(3), st);
-        let v = pt.clock_sweep(4, 4);
+        let mut v = Vec::new();
+        pt.clock_sweep(4, 4, &mut v);
         assert_eq!(v, vec![PageNum(3)]);
     }
 
@@ -451,7 +466,9 @@ mod tests {
     fn empty_table_is_safe() {
         let mut pt = PageTable::new(0);
         assert!(pt.is_empty());
-        assert!(pt.clock_sweep(10, 10).is_empty());
+        let mut v = Vec::new();
+        pt.clock_sweep(10, 10, &mut v);
+        assert!(v.is_empty());
         pt.advance_hand(5);
         assert_eq!(pt.hand(), 0);
     }

@@ -53,12 +53,12 @@ impl SwapSpace {
     /// that fits the whole request is used; otherwise the request is
     /// satisfied by concatenating the largest-first free extents.
     ///
-    /// Returns the allocated extents (sorted by start). Fails with
-    /// [`MemError::SwapFull`] if fewer than `n` blocks are free, in which
-    /// case nothing is allocated.
-    pub fn alloc(&mut self, n: u64) -> Result<Vec<Extent>, MemError> {
+    /// Appends the allocated extents (sorted by start) to `out`. Fails
+    /// with [`MemError::SwapFull`] if fewer than `n` blocks are free, in
+    /// which case nothing is allocated.
+    pub fn alloc(&mut self, n: u64, out: &mut Vec<Extent>) -> Result<(), MemError> {
         if n == 0 {
-            return Ok(Vec::new());
+            return Ok(());
         }
         if n > self.free_blocks {
             return Err(MemError::SwapFull {
@@ -69,13 +69,14 @@ impl SwapSpace {
         // First-fit for a single extent that covers the request.
         if let Some((&start, &len)) = self.free.iter().find(|&(_, &len)| len >= n) {
             self.take(start, len, n);
-            return Ok(vec![Extent::new(start, n)]);
+            out.push(Extent::new(start, n));
+            return Ok(());
         }
         // Fragmented path: grab largest extents first to minimize the
         // number of pieces.
         let mut by_len: Vec<(u64, u64)> = self.free.iter().map(|(&s, &l)| (l, s)).collect();
         by_len.sort_unstable_by(|a, b| b.cmp(a));
-        let mut out = Vec::new();
+        let first = out.len();
         let mut remaining = n;
         for (len, start) in by_len {
             if remaining == 0 {
@@ -87,8 +88,8 @@ impl SwapSpace {
             remaining -= take;
         }
         debug_assert_eq!(remaining, 0);
-        out.sort_unstable_by_key(|e| e.start);
-        Ok(out)
+        out[first..].sort_unstable_by_key(|e| e.start);
+        Ok(())
     }
 
     /// Carve `take` blocks from the front of free extent `(start, len)`.
@@ -158,12 +159,17 @@ impl SwapSpace {
 mod tests {
     use super::*;
 
+    fn alloc(s: &mut SwapSpace, n: u64) -> Result<Vec<Extent>, MemError> {
+        let mut out = Vec::new();
+        s.alloc(n, &mut out).map(|()| out)
+    }
+
     #[test]
     fn fresh_swap_allocates_contiguously() {
         let mut s = SwapSpace::new(1000);
-        let a = s.alloc(100).unwrap();
+        let a = alloc(&mut s, 100).unwrap();
         assert_eq!(a, vec![Extent::new(0, 100)]);
-        let b = s.alloc(50).unwrap();
+        let b = alloc(&mut s, 50).unwrap();
         assert_eq!(b, vec![Extent::new(100, 50)]);
         assert_eq!(s.used_blocks(), 150);
     }
@@ -171,14 +177,14 @@ mod tests {
     #[test]
     fn zero_alloc_is_empty() {
         let mut s = SwapSpace::new(10);
-        assert!(s.alloc(0).unwrap().is_empty());
+        assert!(alloc(&mut s, 0).unwrap().is_empty());
         assert_eq!(s.free_blocks(), 10);
     }
 
     #[test]
     fn alloc_failure_leaves_state_untouched() {
         let mut s = SwapSpace::new(10);
-        let e = s.alloc(11).unwrap_err();
+        let e = alloc(&mut s, 11).unwrap_err();
         assert_eq!(
             e,
             MemError::SwapFull {
@@ -193,7 +199,7 @@ mod tests {
     #[test]
     fn free_coalesces_both_sides() {
         let mut s = SwapSpace::new(100);
-        let a = s.alloc(100).unwrap();
+        let a = alloc(&mut s, 100).unwrap();
         assert_eq!(a.len(), 1);
         // Free three pieces out of order; they must merge back into one.
         s.free_extent(Extent::new(0, 30));
@@ -202,17 +208,17 @@ mod tests {
         assert_eq!(s.fragments(), 1);
         assert_eq!(s.free_blocks(), 100);
         // And the whole device is allocatable as one extent again.
-        assert_eq!(s.alloc(100).unwrap(), vec![Extent::new(0, 100)]);
+        assert_eq!(alloc(&mut s, 100).unwrap(), vec![Extent::new(0, 100)]);
     }
 
     #[test]
     fn fragmented_alloc_spans_extents() {
         let mut s = SwapSpace::new(100);
-        s.alloc(100).unwrap();
+        alloc(&mut s, 100).unwrap();
         // Free blocks 10..20 and 50..90 -> fragments of 10 and 40.
         s.free_extent(Extent::new(10, 10));
         s.free_extent(Extent::new(50, 40));
-        let got = s.alloc(45).unwrap();
+        let got = alloc(&mut s, 45).unwrap();
         // Must take the 40-run plus 5 from the 10-run, sorted by start.
         assert_eq!(got, vec![Extent::new(10, 5), Extent::new(50, 40)]);
         assert_eq!(s.free_blocks(), 5);
@@ -221,10 +227,10 @@ mod tests {
     #[test]
     fn first_fit_prefers_single_extent() {
         let mut s = SwapSpace::new(100);
-        s.alloc(100).unwrap();
+        alloc(&mut s, 100).unwrap();
         s.free_extent(Extent::new(0, 10)); // small first
         s.free_extent(Extent::new(40, 60)); // big later
-        let got = s.alloc(20).unwrap();
+        let got = alloc(&mut s, 20).unwrap();
         assert_eq!(
             got,
             vec![Extent::new(40, 20)],
@@ -235,13 +241,13 @@ mod tests {
     #[test]
     fn free_single_blocks_then_reuse() {
         let mut s = SwapSpace::new(16);
-        s.alloc(16).unwrap();
+        alloc(&mut s, 16).unwrap();
         for b in (0..16).step_by(2) {
             s.free_block(b);
         }
         assert_eq!(s.fragments(), 8);
         assert_eq!(s.free_blocks(), 8);
-        let got = s.alloc(8).unwrap();
+        let got = alloc(&mut s, 8).unwrap();
         assert_eq!(got.len(), 8, "fully fragmented allocation");
     }
 
@@ -250,7 +256,7 @@ mod tests {
     #[cfg(debug_assertions)]
     fn double_free_panics_in_debug() {
         let mut s = SwapSpace::new(10);
-        s.alloc(10).unwrap();
+        alloc(&mut s, 10).unwrap();
         s.free_block(3);
         s.free_block(3);
     }
@@ -259,6 +265,6 @@ mod tests {
     fn empty_device() {
         let mut s = SwapSpace::new(0);
         assert_eq!(s.total(), 0);
-        assert!(s.alloc(1).is_err());
+        assert!(alloc(&mut s, 1).is_err());
     }
 }

@@ -6,13 +6,17 @@
 //! [`PageTable`] through the same random operation sequences and require
 //! the same states, counters, clock hand and victim lists after every
 //! step. The kernel's touch path and its extent-wise swap frees are
-//! checked against the model semantics as well.
+//! checked against the model semantics as well, and [`RefKernel`] replays
+//! the kernel's fault and eviction paths page by page to check their
+//! run-wise forms.
 
-use agp_disk::extents_from_blocks;
+use agp_disk::{extents_from_blocks, Extent};
 use agp_mem::{
-    Kernel, PageNum, PageState, PageTable, ProcId, Resident, SwapSpace, TouchOutcome, VmParams,
+    EvictOutcome, Kernel, MapInOutcome, MemError, PageNum, PageState, PageTable, ProcId, Resident,
+    SwapSpace, TouchOutcome, VmParams,
 };
 use agp_sim::{prop, SimRng, SimTime};
+use std::collections::BTreeMap;
 
 /// One process's page table as a vector of `PageState` rows, with the
 /// same counters, clock hand and scan orders as [`PageTable`].
@@ -267,11 +271,9 @@ fn page_table_matches_model() {
                         max_scan,
                         max_victims,
                     } => {
-                        assert_eq!(
-                            table.clock_sweep(max_scan, max_victims),
-                            model.clock_sweep(max_scan, max_victims),
-                            "step {step}"
-                        );
+                        let mut got = Vec::new();
+                        table.clock_sweep(max_scan, max_victims, &mut got);
+                        assert_eq!(got, model.clock_sweep(max_scan, max_victims), "step {step}");
                     }
                     Op::Oldest { limit } => {
                         assert_eq!(
@@ -306,7 +308,7 @@ fn extent_frees_match_block_frees() {
         |&(total, ref pre, ref freed)| {
             // Fragment the device: allocate it all, free some extents back.
             let mut base = SwapSpace::new(total);
-            base.alloc(total).unwrap();
+            base.alloc(total, &mut Vec::new()).unwrap();
             let mut held = vec![true; total as usize];
             for &(start, len) in pre {
                 let end = (start + len).min(total);
@@ -370,7 +372,8 @@ fn touch_run_matches_single_touches() {
         k.touch(pid, PageNum(p), true, t0).unwrap();
     }
     let out = [PageNum(1), PageNum(2), PageNum(5)];
-    k.evict_batch(pid, &out, &mut Vec::new()).unwrap();
+    k.evict_batch(pid, &out, &mut Vec::new(), &mut Vec::new())
+        .unwrap();
     for p in [1, 2] {
         k.map_in(pid, PageNum(p), t0).unwrap();
     }
@@ -416,4 +419,451 @@ fn touch_run_matches_single_touches() {
         assert_eq!(k.proc(pid).unwrap().pt.state(p), model.state(p), "{p:?}");
     }
     k.check_invariants().unwrap();
+}
+
+/// One process of [`RefKernel`].
+#[derive(Clone, Debug)]
+struct RefProc {
+    pt: ModelTable,
+    epoch: u32,
+    wss: usize,
+}
+
+/// The kernel's frames, swap and owner map with its fault and eviction
+/// paths in their per-page form: read-ahead is a chain lookup
+/// (`swap_chain_after`) followed by one `map_in` per page; eviction and
+/// cleaning collect a per-block write list and coalesce it with
+/// `extents_from_blocks`; released blocks go back one at a time.
+#[derive(Clone, Debug)]
+struct RefKernel {
+    free: usize,
+    swap: SwapSpace,
+    procs: BTreeMap<ProcId, RefProc>,
+    owner: BTreeMap<u64, (ProcId, PageNum)>,
+}
+
+impl RefKernel {
+    fn new(frames: usize, swap_blocks: u64) -> Self {
+        RefKernel {
+            free: frames,
+            swap: SwapSpace::new(swap_blocks),
+            procs: BTreeMap::new(),
+            owner: BTreeMap::new(),
+        }
+    }
+
+    fn register(&mut self, pid: ProcId, pages: usize) {
+        let proc = RefProc {
+            pt: ModelTable::new(pages),
+            epoch: 0,
+            wss: 0,
+        };
+        self.procs.insert(pid, proc);
+    }
+
+    fn release(&mut self, block: u64) {
+        self.owner.remove(&block);
+        self.swap.free_block(block);
+    }
+
+    fn unregister(&mut self, pid: ProcId) {
+        let proc = self.procs.remove(&pid).unwrap();
+        self.free += proc.pt.resident;
+        for st in proc.pt.pages {
+            match st {
+                PageState::Swapped { block } => self.release(block),
+                PageState::Resident(Resident {
+                    swap_copy: Some(block),
+                    ..
+                }) => self.release(block),
+                _ => {}
+            }
+        }
+    }
+
+    fn quantum_started(&mut self, pid: ProcId) {
+        let proc = self.procs.get_mut(&pid).unwrap();
+        proc.epoch += 1;
+        proc.wss = 0;
+    }
+
+    /// Per-page touches of `len` pages from `first`, up to the first
+    /// non-resident page.
+    fn touch_run(
+        &mut self,
+        pid: ProcId,
+        first: u32,
+        len: u32,
+        write: bool,
+        now: SimTime,
+    ) -> (usize, Option<TouchOutcome>) {
+        let proc = self.procs.get_mut(&pid).unwrap();
+        let mut stale = Vec::new();
+        let mut hits = 0;
+        let mut fault = None;
+        for p in (first..first + len).map(PageNum) {
+            match proc.pt.state(p) {
+                PageState::Resident(_) => {
+                    let (fresh, copy) = proc.pt.touch(p, write, now, proc.epoch);
+                    proc.wss += usize::from(fresh);
+                    stale.extend(copy);
+                    hits += 1;
+                }
+                PageState::Swapped { block } => {
+                    fault = Some(TouchOutcome::NeedsSwapIn { block });
+                    break;
+                }
+                PageState::Untouched => {
+                    fault = Some(TouchOutcome::NeedsZeroFill);
+                    break;
+                }
+            }
+        }
+        for b in stale {
+            self.release(b);
+        }
+        (hits, fault)
+    }
+
+    fn map_in(&mut self, pid: ProcId, p: PageNum, now: SimTime) -> Result<MapInOutcome, MemError> {
+        if self.free == 0 {
+            return Err(MemError::OutOfFrames);
+        }
+        let proc = self.procs.get_mut(&pid).unwrap();
+        let (swap_copy, outcome) = match proc.pt.state(p) {
+            PageState::Swapped { block } => (Some(block), MapInOutcome::Read { block }),
+            PageState::Untouched => (None, MapInOutcome::Zeroed),
+            PageState::Resident(_) => panic!("map_in of resident page {p:?}"),
+        };
+        let r = Resident {
+            referenced: true,
+            dirty: false,
+            last_ref: now,
+            swap_copy,
+            epoch: proc.epoch,
+        };
+        proc.pt.set(p, PageState::Resident(r));
+        proc.wss += 1;
+        self.free -= 1;
+        Ok(outcome)
+    }
+
+    /// Pages of `pid` stored at `block+1, block+2, …` that are swapped
+    /// out, up to `limit`.
+    fn swap_chain_after(&self, pid: ProcId, block: u64, limit: usize) -> Vec<PageNum> {
+        let pt = &self.procs[&pid].pt;
+        let mut out = Vec::new();
+        let mut b = block + 1;
+        while out.len() < limit {
+            match self.owner.get(&b) {
+                Some(&(owner, page)) if owner == pid && !pt.state(page).is_resident() => {
+                    out.push(page)
+                }
+                _ => break,
+            }
+            b += 1;
+        }
+        out
+    }
+
+    /// Allocate one fresh block per dirty page of `pages` after checking
+    /// their bounds; the blocks in allocation order.
+    fn alloc_for_dirty(&mut self, pid: ProcId, pages: &[PageNum]) -> Result<Vec<u64>, MemError> {
+        let pt = &self.procs[&pid].pt;
+        for &p in pages {
+            if p.idx() >= pt.pages.len() {
+                return Err(MemError::BadPage(pid, p));
+            }
+        }
+        let need = pages.iter().filter(|&&p| is_dirty(&pt.state(p))).count();
+        let mut fresh = Vec::new();
+        self.swap.alloc(need as u64, &mut fresh)?;
+        Ok(fresh.iter().flat_map(|e| e.start..e.end()).collect())
+    }
+
+    fn evict_batch(
+        &mut self,
+        pid: ProcId,
+        pages: &[PageNum],
+        log: &mut Vec<PageNum>,
+    ) -> Result<Vec<Extent>, MemError> {
+        let mut fresh = self.alloc_for_dirty(pid, pages)?.into_iter();
+        let mut blocks = Vec::new();
+        let proc = self.procs.get_mut(&pid).unwrap();
+        for &p in pages {
+            let PageState::Resident(r) = proc.pt.state(p) else {
+                continue;
+            };
+            let next = if r.dirty {
+                let block = fresh.next().unwrap();
+                self.owner.insert(block, (pid, p));
+                blocks.push(block);
+                PageState::Swapped { block }
+            } else {
+                match r.swap_copy {
+                    Some(block) => PageState::Swapped { block },
+                    None => PageState::Untouched,
+                }
+            };
+            proc.pt.set(p, next);
+            self.free += 1;
+            log.push(p);
+        }
+        for b in fresh {
+            self.swap.free_block(b);
+        }
+        Ok(extents_from_blocks(&mut blocks))
+    }
+
+    fn clean_batch(&mut self, pid: ProcId, pages: &[PageNum]) -> Result<Vec<Extent>, MemError> {
+        let mut fresh = self.alloc_for_dirty(pid, pages)?.into_iter();
+        let mut blocks = Vec::new();
+        let proc = self.procs.get_mut(&pid).unwrap();
+        for &p in pages {
+            if !is_dirty(&proc.pt.state(p)) {
+                continue;
+            }
+            let block = fresh.next().unwrap();
+            proc.pt.update_resident(p, |r| {
+                r.dirty = false;
+                r.swap_copy = Some(block);
+            });
+            self.owner.insert(block, (pid, p));
+            blocks.push(block);
+        }
+        for b in fresh {
+            self.swap.free_block(b);
+        }
+        Ok(extents_from_blocks(&mut blocks))
+    }
+}
+
+const RUN_PROCS: u32 = 2;
+const RUN_PAGES: u32 = 40;
+/// Fewer frames than pages, so faults and read-ahead run out of frames.
+const RUN_FRAMES: usize = 48;
+const RUN_SWAP: u64 = 72;
+
+/// An operation on both kernels.
+#[derive(Clone, Debug)]
+enum KOp {
+    Touch {
+        first: u32,
+        len: u32,
+        write: bool,
+    },
+    /// Faults on the non-resident pages of `len` pages from `first`, each
+    /// with read-ahead up to `limit` pages (not bounded by the free
+    /// frames), stopping at the first error.
+    Fault {
+        first: u32,
+        len: u32,
+        limit: usize,
+    },
+    /// Several eviction batches appended to one write list.
+    Evict(Vec<Vec<u32>>),
+    EvictOne(u32),
+    Clean(Vec<u32>),
+    Quantum,
+    Exit,
+}
+
+fn kop(rng: &mut SimRng) -> (u32, KOp) {
+    let proc = rng.below(u64::from(RUN_PROCS)) as u32;
+    let page = |r: &mut SimRng| r.below(u64::from(RUN_PAGES)) as u32;
+    // Runs of ascending pages with repeats and gaps, like clock victims
+    // and stale candidates.
+    let batch = |r: &mut SimRng| -> Vec<u32> {
+        let start = r.below(u64::from(RUN_PAGES)) as u32;
+        prop::vec(r, 0..24, |r| r.below(3) as u32)
+            .into_iter()
+            .scan(start, |p, step| {
+                *p = (*p + step) % RUN_PAGES;
+                Some(*p)
+            })
+            .collect()
+    };
+    let op = match rng.below(16) {
+        0..=4 => {
+            let first = page(rng);
+            KOp::Touch {
+                first,
+                len: rng.below(u64::from(RUN_PAGES - first) + 1) as u32,
+                write: rng.chance(0.6),
+            }
+        }
+        5..=8 => {
+            let first = page(rng);
+            KOp::Fault {
+                first,
+                len: rng.below(u64::from(RUN_PAGES - first) + 1) as u32,
+                limit: rng.below(20) as usize,
+            }
+        }
+        9..=11 => KOp::Evict(prop::vec(rng, 1..4, batch)),
+        12 => KOp::EvictOne(page(rng)),
+        13 => KOp::Clean(batch(rng)),
+        14 => KOp::Quantum,
+        _ => KOp::Exit,
+    };
+    (proc, op)
+}
+
+/// Fault non-resident page `p` on both kernels: `map_in`, then
+/// read-ahead from its block — [`Kernel::map_in_chain`] against
+/// `swap_chain_after` plus one `map_in` per page. Checks the outcomes,
+/// the pages read ahead, the read extent and any error; returns whether
+/// the fault succeeded.
+fn fault_agrees(
+    k: &mut Kernel,
+    r: &mut RefKernel,
+    pid: ProcId,
+    p: PageNum,
+    limit: usize,
+    now: SimTime,
+) -> bool {
+    let got = k.map_in(pid, p, now);
+    assert_eq!(got, r.map_in(pid, p, now), "map_in {pid} {p:?}");
+    let Ok(MapInOutcome::Read { block }) = got else {
+        return got.is_ok();
+    };
+    let mut ahead = Vec::new();
+    let n = k.map_in_chain(pid, block, limit, now, |q| ahead.push(q));
+    let chain = r.swap_chain_after(pid, block, limit);
+    let mut want_reads = vec![block];
+    for &q in &chain {
+        match r.map_in(pid, q, now) {
+            Ok(MapInOutcome::Read { block }) => want_reads.push(block),
+            Ok(MapInOutcome::Zeroed) => panic!("chain page {q:?} is swapped"),
+            Err(e) => {
+                assert_eq!(n, Err(e), "read-ahead after {pid} {p:?}");
+                assert_eq!(ahead, chain[..want_reads.len() - 1]);
+                return false;
+            }
+        }
+    }
+    assert_eq!(n, Ok(chain.len()), "read-ahead after {pid} {p:?}");
+    assert_eq!(ahead, chain);
+    assert_eq!(
+        vec![Extent::new(block, 1 + chain.len() as u64)],
+        extents_from_blocks(&mut want_reads),
+        "read extent after {pid} {p:?}"
+    );
+    true
+}
+
+fn assert_kernels_agree(k: &Kernel, r: &RefKernel, step: usize) {
+    assert_eq!(k.free_frames(), r.free, "free frames after step {step}");
+    assert_eq!(
+        format!("{:?}", k.swap()),
+        format!("{:?}", r.swap),
+        "swap free map after step {step}"
+    );
+    assert_eq!(k.check_invariants(), Ok(()), "after step {step}");
+    for (&pid, proc) in &r.procs {
+        let pm = k.proc(pid).unwrap();
+        assert_eq!(pm.wss_current(), proc.wss, "{pid} wss after step {step}");
+        for i in 0..RUN_PAGES {
+            let p = PageNum(i);
+            assert_eq!(
+                pm.pt.state(p),
+                proc.pt.state(p),
+                "{pid} {p:?} after step {step}"
+            );
+        }
+    }
+}
+
+/// The run-wise fault and eviction paths leave the kernel exactly as the
+/// per-page reference does: same page states, WSS counts, free frames,
+/// swap free map and invariants, the same read-ahead pages, outcomes and
+/// errors, and byte-identical extent lists — coalesced within each batch
+/// and never across batches.
+#[test]
+fn run_wise_paths_match_per_page_reference() {
+    prop::check(
+        96,
+        |rng| prop::vec(rng, 1..250, kop),
+        |ops| {
+            let params = VmParams {
+                total_frames: RUN_FRAMES,
+                wired_frames: 0,
+                freepages_min: 4,
+                freepages_high: 8,
+                readahead: 16,
+            };
+            let mut k = Kernel::new(params, RUN_SWAP);
+            let mut r = RefKernel::new(RUN_FRAMES, RUN_SWAP);
+            for pid in (0..RUN_PROCS).map(ProcId) {
+                k.register_proc(pid, RUN_PAGES as usize);
+                r.register(pid, RUN_PAGES as usize);
+            }
+            let pages = |v: &[u32]| -> Vec<PageNum> { v.iter().map(|&p| PageNum(p)).collect() };
+            for (step, (proc, op)) in ops.iter().enumerate() {
+                let pid = ProcId(*proc);
+                let now = SimTime::from_us(step as u64 + 1);
+                match op {
+                    &KOp::Touch { first, len, write } => {
+                        let got = k.touch_run(pid, PageNum(first), len as usize, write, now);
+                        assert_eq!(got, Ok(r.touch_run(pid, first, len, write, now)));
+                    }
+                    &KOp::Fault { first, len, limit } => {
+                        for p in (first..first + len).map(PageNum) {
+                            if !r.procs[&pid].pt.state(p).is_resident()
+                                && !fault_agrees(&mut k, &mut r, pid, p, limit, now)
+                            {
+                                break;
+                            }
+                        }
+                    }
+                    KOp::Evict(batches) => {
+                        let (mut log, mut writes) = (Vec::new(), Vec::new());
+                        let (mut want_log, mut want_writes) = (Vec::new(), Vec::new());
+                        for batch in batches {
+                            let got = k.evict_batch(pid, &pages(batch), &mut log, &mut writes);
+                            match r.evict_batch(pid, &pages(batch), &mut want_log) {
+                                Ok(ext) => {
+                                    assert_eq!(got, Ok(()), "step {step}");
+                                    want_writes.extend(ext);
+                                }
+                                Err(e) => assert_eq!(got, Err(e), "step {step}"),
+                            }
+                        }
+                        assert_eq!(log, want_log, "step {step}");
+                        assert_eq!(writes, want_writes, "step {step}");
+                    }
+                    &KOp::EvictOne(page) => {
+                        let p = PageNum(page);
+                        let got = k.evict(pid, p);
+                        let mut log = Vec::new();
+                        let want = r.evict_batch(pid, &[p], &mut log).map(|ext| match ext[..] {
+                            [e] => EvictOutcome::Write { block: e.start },
+                            _ => EvictOutcome::Dropped,
+                        });
+                        match want {
+                            Ok(_) if log.is_empty() => {
+                                assert_eq!(got, Err(MemError::NotResident(pid, p)))
+                            }
+                            want => assert_eq!(got, want, "step {step}"),
+                        }
+                    }
+                    KOp::Clean(batch) => {
+                        let got = k.clean_batch(pid, &pages(batch));
+                        assert_eq!(got, r.clean_batch(pid, &pages(batch)), "step {step}");
+                    }
+                    KOp::Quantum => {
+                        k.quantum_started(pid).unwrap();
+                        r.quantum_started(pid);
+                    }
+                    KOp::Exit => {
+                        k.unregister_proc(pid).unwrap();
+                        r.unregister(pid);
+                        k.register_proc(pid, RUN_PAGES as usize);
+                        r.register(pid, RUN_PAGES as usize);
+                    }
+                }
+                assert_kernels_agree(&k, &r, step);
+            }
+        },
+    );
 }

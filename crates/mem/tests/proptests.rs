@@ -99,7 +99,7 @@ fn kernel_invariants_hold_under_arbitrary_ops() {
                         }
                     }
                     Op::EvictBatch { first, len } => {
-                        k.evict_batch(p, &batch(first, len), &mut Vec::new())
+                        k.evict_batch(p, &batch(first, len), &mut Vec::new(), &mut Vec::new())
                             .unwrap();
                     }
                     Op::CleanBatch { first, len } => {
@@ -193,8 +193,9 @@ fn swap_allocator_conserves() {
             let mut held_blocks = 0u64;
             for &(do_alloc, n) in ops {
                 if do_alloc {
-                    match s.alloc(n) {
-                        Ok(extents) => {
+                    let mut extents = Vec::new();
+                    match s.alloc(n, &mut extents) {
+                        Ok(()) => {
                             // No overlap with anything already held.
                             for e in &extents {
                                 for h in &held {

@@ -112,8 +112,8 @@ impl Drop for ScopeGuard {
 /// Open a profiling span on the current thread.
 ///
 /// When profiling is disabled this is one relaxed atomic load and a
-/// branch (the guard drops as a no-op) — the cost pinned by the
-/// `perf_overhead` Criterion bench.
+/// branch (the guard drops as a no-op); the benchmark's untraced passes
+/// run with every guard in place.
 #[inline]
 pub fn scope(span: Span) -> ScopeGuard {
     if !ENABLED.load(Ordering::Relaxed) {
